@@ -84,30 +84,32 @@ class Spectrum:
 
 
 def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
-    """Fill A and D^2 at the collocation points k*h, k = -M..N."""
-    h = mesh.h
-    size = mesh.size
-    qvals = np.empty(size)
-    wvals = np.empty(size)
-    for idx, k in enumerate(range(-mesh.M, mesh.N + 1)):
-        t = k * h
-        try:
-            qvals[idx] = tp.qtilde(t)
-        except EvaluationError as exc:
-            raise AssemblyError(str(exc), index=k, point=t) from exc
-        try:
-            wvals[idx] = tp.weight(t)
-        except EvaluationError as exc:
-            raise DefinitenessError(str(exc), index=k, point=t) from exc
-    if not np.all(np.isfinite(qvals)):
-        idx = int(np.flatnonzero(~np.isfinite(qvals))[0])
-        raise AssemblyError("non-finite transformed coefficient", index=idx - mesh.M, point=(idx - mesh.M) * h)
-    if np.any(wvals <= 0.0):
-        idx = int(np.flatnonzero(wvals <= 0.0)[0])
-        raise DefinitenessError("nonpositive weight entry", index=idx - mesh.M, point=(idx - mesh.M) * h)
+    """Fill A and D^2 at the collocation points k*h, k = -M..N.
 
-    A = -diff_matrix(2, mesh.M, mesh.N) / (h * h)
-    A[np.diag_indices(size)] += qvals
+    ``tp.qtilde`` and ``tp.weight`` are each called once, on the whole
+    mesh.  A failure is reported at the leftmost failing k, a coefficient
+    failure ahead of a weight failure at the same k.
+    """
+    h = mesh.h
+    t = np.arange(-mesh.M, mesh.N + 1) * h
+    failures = []
+    try:
+        qvals = tp.qtilde(t)
+    except EvaluationError as exc:
+        failures.append((exc.point, 0, AssemblyError, exc))
+    try:
+        wvals = tp.weight(t)
+    except EvaluationError as exc:
+        failures.append((exc.point, 1, DefinitenessError, exc))
+    if failures:
+        point, _, kind, exc = min(failures, key=lambda f: f[:2])
+        raise kind(str(exc), index=round(point / h), point=point) from exc
+
+    # -D/h^2, divided in place: x / -(h*h) rounds exactly like -x / (h*h).
+    A = diff_matrix(2, mesh.M, mesh.N)
+    A /= -(h * h)
+    diagonal = A.reshape(-1)[:: mesh.size + 1]
+    diagonal += qvals
     return GeneralizedSystem(matrix=A, weights=wvals, mesh=mesh)
 
 
@@ -147,7 +149,8 @@ def _solve_inverted(A, w, compute_vectors):
     # Shift at the scale of the low eigenvalues: min_k A_kk / w_k is an
     # upper bound for the smallest generalized eigenvalue and is invariant
     # under (A, D^2) -> (cA, cD^2).
-    s = (np.diag(A) / w).min()
+    with np.errstate(over="ignore"):
+        s = (np.diag(A) / w).min()
     if not (s > 0.0 and np.isfinite(s)):
         s = abs(np.trace(A)) / w.sum() * 1e-6 + np.finfo(float).tiny
     L = None
@@ -190,6 +193,6 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False) 
         raise DefinitenessError("nonpositive weight entry", index=k - system.mesh.M,
                                 point=(k - system.mesh.M) * system.mesh.h)
     A = np.asarray(system.matrix, dtype=float)
-    if w.max() / w.min() <= GRADE_LIMIT:
+    if w.max() <= GRADE_LIMIT * w.min():
         return _solve_congruence(A, w, compute_vectors)
     return _solve_inverted(A, w, compute_vectors)

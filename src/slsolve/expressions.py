@@ -12,27 +12,37 @@ Names are the variable ``x``, a declared parameter, or one of the fixed
 functions sin, cos, tan, tanh, sinh, cosh, sech, exp, log, sqrt,
 arcsinh, abs.  ``-x^2`` is rejected as ambiguous: write ``(-x)^2`` or
 ``-(x^2)``.
+
+A parsed tree is compiled once, with its parameters bound, into a
+function of x built from numpy operations; one call then evaluates a
+scalar or a whole array of x.  Arithmetic follows numpy: where an
+expression is undefined the result is NaN or inf, not an exception.
 """
 
-import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "tanh": math.tanh,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "sech": lambda v: 1.0 / math.cosh(v),
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "arcsinh": math.asinh,
-    "abs": abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "tanh": np.tanh,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "sech": lambda v: 1.0 / np.cosh(v),
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "arcsinh": np.arcsinh,
+    "abs": np.abs,
 }
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 
 
 class ExpressionError(ValueError):
@@ -201,32 +211,48 @@ def parse_expression(text: str, line: int = 1) -> Node:
     return _Parser(_tokenize(text, line), line).parse()
 
 
-def evaluate(node: Node, x: float, params: dict) -> float:
-    """Evaluate with the variable x and a parameter environment."""
+def compile_expression(node: Node, params: dict) -> Callable:
+    """A function of x that evaluates the tree with numpy.
+
+    Parameters are looked up now, so an unknown name raises
+    ExpressionError here rather than at evaluation.  The function takes a
+    scalar or a numpy array of x.
+    """
+    body = _compile(node, {name: np.float64(value) for name, value in params.items()})
+    return lambda x: body(np.asarray(x, dtype=float))
+
+
+def _compile(node, params):
     if isinstance(node, Num):
-        return node.value
+        value = np.float64(node.value)
+        return lambda x: value
     if isinstance(node, Name):
         if node.name == "x":
-            return x
+            return lambda x: x
         try:
-            return params[node.name]
+            value = params[node.name]
         except KeyError:
             raise ExpressionError(f"unknown name {node.name!r}", node.line, node.column) from None
+        return lambda x: value
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x, params)
+        operand = _compile(node.operand, params)
+        return lambda x: -operand(x)
     if isinstance(node, Call):
-        return FUNCTIONS[node.func](evaluate(node.arg, x, params))
-    left = evaluate(node.left, x, params)
-    right = evaluate(node.right, x, params)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return left ** right
+        func, arg = FUNCTIONS[node.func], _compile(node.arg, params)
+        return lambda x: func(arg(x))
+    op = _OPERATORS[node.op]
+    left, right = _compile(node.left, params), _compile(node.right, params)
+    return lambda x: op(left(x), right(x))
+
+
+def evaluate(node: Node, x: float, params: dict) -> float:
+    """Evaluate at one x with a parameter environment.
+
+    An undefined point, such as log of a negative number, gives NaN or
+    inf.
+    """
+    with np.errstate(all="ignore"):
+        return float(compile_expression(node, params)(x))
 
 
 def free_names(node: Node) -> set:

@@ -19,20 +19,22 @@ Catalog (decay of the transformed solution in parentheses):
     (0, inf)      arcsinh(e^t)            arcsinh(e^(sinh t))
     (-inf, inf)   t                       kappa * sinh(t)
 
-The half-line maps evaluate arcsinh(e^y) via the asymptote y + log 2
-once y > 30 so that e^(sinh t) never overflows at reachable mesh points.
+Every map is evaluated as a jet (phi, phi', phi'', phi''') on a whole
+numpy array of t at once, and the coefficients q and rho are called once,
+on the whole array phi(t).  The half-line maps write arcsinh(e^y) as
+y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .meshing import DecayProfile
 
 INTERVAL_KINDS = ("unit", "half_line", "real_line")
 DECAY_KINDS = ("SE", "DE")
-
-_ASINH_EXP_ASYMPTOTE = 30.0
 
 
 class EvaluationError(ValueError):
@@ -47,145 +49,134 @@ class EvaluationError(ValueError):
 class ConformalMap:
     """A monotone map of the real line onto a problem interval.
 
-    ``phi`` and its three derivative evaluators are plain scalar callables;
-    instances are immutable and safe to share across threads.
+    ``jet(t)`` takes a float numpy array of t and returns the arrays
+    (phi, phi', phi'', phi'''), computed together so they share
+    subexpressions; far out in the tails it can overflow, so call it under
+    ``np.errstate``.  ``phi``, ``dphi``, ``d2phi`` and ``d3phi`` take a
+    scalar or an array.  ``qtilde_eval`` and ``weight_eval`` call the
+    coefficients q and rho once, on the numpy array phi(t); callables that
+    only take scalars are still accepted and called point by point.
+    Instances are immutable and safe to share across threads.
     """
 
     interval_kind: str
     decay_kind: str
     kappa: float
-    phi: Callable[[float], float]
-    dphi: Callable[[float], float]
-    d2phi: Callable[[float], float]
-    d3phi: Callable[[float], float]
+    jet: Callable
+
+    def _derivative(self, order, t):
+        with np.errstate(all="ignore"):
+            return _result(self.jet(np.asarray(t, dtype=float))[order], t)
+
+    def phi(self, t):
+        return self._derivative(0, t)
+
+    def dphi(self, t):
+        return self._derivative(1, t)
+
+    def d2phi(self, t):
+        return self._derivative(2, t)
+
+    def d3phi(self, t):
+        return self._derivative(3, t)
 
 
-def _sech2(y: float) -> float:
-    # 1/cosh^2 without overflow: cosh(y) -> inf gives a clean 0.
-    c = math.cosh(y)
-    return 1.0 / (c * c) if math.isfinite(c) else 0.0
+def _from_c_library(name):
+    """``math.<name>`` applied to every entry of an array.
+
+    numpy's vectorized sinh, cosh, tanh, exp and log1p round about 5-25%
+    of arguments differently from the C library in the last bit, and low
+    eigenvalues at rounding level follow such changes of the weights (by
+    up to half a digit at n >= 100).  The maps therefore take their
+    elementary functions from ``math``, and their formulas keep one
+    operation order, so an assembled matrix rounds exactly as a point by
+    point evaluation with ``math`` does.  Where ``math`` reports an
+    overflow, numpy's inf is used.
+    """
+    scalar, vector = getattr(math, name), getattr(np, name)
+
+    def apply(t):
+        try:
+            return np.fromiter(map(scalar, t.ravel().tolist()), float, t.size).reshape(t.shape)
+        except OverflowError:
+            return vector(t)
+    return apply
 
 
-def _asinh_exp(y: float) -> float:
-    if y > _ASINH_EXP_ASYMPTOTE:
-        return y + math.log(2.0)
-    return math.asinh(math.exp(y))
+_sinh, _cosh, _tanh, _exp, _log1p = map(_from_c_library, ("sinh", "cosh", "tanh", "exp", "log1p"))
 
 
-def _asinh_exp_derivs(y: float):
-    """First three derivatives of y -> arcsinh(e^y), branch-stable in y."""
-    if y > 0.0:
-        f = math.exp(-2.0 * y)
-        t = 1.0 + f
-        return t**-0.5, f * t**-1.5, f * (3.0 * f * t**-2.5 - 2.0 * t**-1.5)
-    e = math.exp(y)
-    s = 1.0 + math.exp(2.0 * y)
-    return e * s**-0.5, e * s**-1.5, e * (3.0 * s**-2.5 - 2.0 * s**-1.5)
+def _sech2(y):
+    # 1/cosh^2: cosh(y) -> inf gives a clean 0.
+    c = _cosh(y)
+    return 1.0 / (c * c)
 
 
-def _unit_se() -> ConformalMap:
-    def phi(t):
-        return 0.5 * math.tanh(t) + 0.5
+def _asinh_exp_jet(y):
+    """y -> arcsinh(e^y) and its first three derivatives, branch-stable in y.
 
-    def d1(t):
-        return 0.5 * _sech2(t)
-
-    def d2(t):
-        return -_sech2(t) * math.tanh(t)
-
-    def d3(t):
-        s2 = _sech2(t)
-        u = math.tanh(t)
-        return s2 * (2.0 * u * u - s2)
-
-    return ConformalMap("unit", "SE", 1.0, phi, d1, d2, d3)
-
-
-def _unit_de() -> ConformalMap:
-    def phi(t):
-        return 0.5 * math.tanh(math.sinh(t)) + 0.5
-
-    def d1(t):
-        return 0.5 * _sech2(math.sinh(t)) * math.cosh(t)
-
-    def d2(t):
-        s, c = math.sinh(t), math.cosh(t)
-        return 0.5 * _sech2(s) * (s - 2.0 * c * c * math.tanh(s))
-
-    def d3(t):
-        s, c = math.sinh(t), math.cosh(t)
-        u = math.tanh(s)
-        s2 = _sech2(s)
-        c3 = c * c * c
-        return 0.5 * s2 * (c - 6.0 * c * s * u + 4.0 * c3 * u * u - 2.0 * c3 * s2)
-
-    return ConformalMap("unit", "DE", 1.0, phi, d1, d2, d3)
+    Let e = e^(-|y|), a = e^min(y, 0) and b = e^(-max(y, 0)), so that
+    (a, b) is (1, e) for y > 0 and (e, 1) for y <= 0.  Both signs share
+    r = (1 + e^2)^(-1/2): with c = b^2 r^2 = 1 - psi'^2 the derivatives
+    are psi' = a r, psi'' = psi' c and psi''' = psi'' (3c - 2).  The value
+    max(y, 0) + log1p(a + e^2 / (1 + 1/r)) is y + log(1 + 1/r) for y > 0
+    and arcsinh(e) for y <= 0.
+    """
+    a = _exp(np.minimum(y, 0.0))
+    b = _exp(-np.maximum(y, 0.0))
+    g = (a * b) ** 2
+    root = np.sqrt(1.0 + g)
+    r = 1.0 / root
+    p1 = a * r
+    c = (b * r) ** 2
+    p2 = p1 * c
+    value = np.maximum(y, 0.0) + _log1p(a + g / (1.0 + root))
+    return value, p1, p2, p2 * (3.0 * c - 2.0)
 
 
-def _half_line_se() -> ConformalMap:
-    def phi(t):
-        return _asinh_exp(t)
-
-    def d1(t):
-        return _asinh_exp_derivs(t)[0]
-
-    def d2(t):
-        return _asinh_exp_derivs(t)[1]
-
-    def d3(t):
-        return _asinh_exp_derivs(t)[2]
-
-    return ConformalMap("half_line", "SE", 1.0, phi, d1, d2, d3)
+def _unit_se_jet(t):
+    u = _tanh(t)
+    s2 = _sech2(t)
+    return 0.5 * u + 0.5, 0.5 * s2, -s2 * u, s2 * (2.0 * u * u - s2)
 
 
-def _half_line_de() -> ConformalMap:
+def _unit_de_jet(t):
+    s, c = _sinh(t), _cosh(t)
+    u = _tanh(s)
+    s2 = _sech2(s)
+    half = 0.5 * s2
+    c3 = c * c * c
+    return (0.5 * u + 0.5, half * c, half * (s - 2.0 * c * c * u),
+            half * (c - 6.0 * c * s * u + 4.0 * c3 * u * u - 2.0 * c3 * s2))
+
+
+def _half_line_de_jet(t):
     # phi = psi(sinh t) with psi = arcsinh o exp; chain rule throughout.
-    def phi(t):
-        return _asinh_exp(math.sinh(t))
-
-    def d1(t):
-        return _asinh_exp_derivs(math.sinh(t))[0] * math.cosh(t)
-
-    def d2(t):
-        s, c = math.sinh(t), math.cosh(t)
-        p1, p2, _ = _asinh_exp_derivs(s)
-        return p2 * c * c + p1 * s
-
-    def d3(t):
-        s, c = math.sinh(t), math.cosh(t)
-        p1, p2, p3 = _asinh_exp_derivs(s)
-        return p3 * c * c * c + 3.0 * p2 * c * s + p1 * c
-
-    return ConformalMap("half_line", "DE", 1.0, phi, d1, d2, d3)
+    s, c = _sinh(t), _cosh(t)
+    value, p1, p2, p3 = _asinh_exp_jet(s)
+    c2 = c * c
+    return value, p1 * c, p2 * c2 + p1 * s, (p3 * c2 + 3.0 * p2 * s + p1) * c
 
 
-def _real_line_se() -> ConformalMap:
-    return ConformalMap(
-        "real_line", "SE", 1.0,
-        phi=lambda t: t,
-        dphi=lambda t: 1.0,
-        d2phi=lambda t: 0.0,
-        d3phi=lambda t: 0.0,
-    )
+def _real_line_se_jet(t):
+    zero = np.zeros_like(t)
+    return t.copy(), zero + 1.0, zero, zero
 
 
-def _real_line_de(kappa: float) -> ConformalMap:
-    return ConformalMap(
-        "real_line", "DE", kappa,
-        phi=lambda t: kappa * math.sinh(t),
-        dphi=lambda t: kappa * math.cosh(t),
-        d2phi=lambda t: kappa * math.sinh(t),
-        d3phi=lambda t: kappa * math.cosh(t),
-    )
+def _real_line_de_jet(kappa: float):
+    def jet(t):
+        s, c = kappa * _sinh(t), kappa * _cosh(t)
+        return s, c, s, c
+    return jet
 
 
 def _validate_map(m: ConformalMap) -> None:
     # Monotonicity over the reachable mesh range, endpoint limits at +-20.
-    for i in range(-60, 61):
-        t = i / 10.0
-        if not m.dphi(t) > 0.0:
-            raise ValueError(f"map derivative not positive at t={t}")
-    lo, hi = m.phi(-20.0), m.phi(20.0)
+    ts = np.arange(-60, 61) / 10.0
+    bad = np.flatnonzero(~(m.dphi(ts) > 0.0))
+    if bad.size:
+        raise ValueError(f"map derivative not positive at t={float(ts[bad[0]])}")
+    lo, hi = m.phi(np.array([-20.0, 20.0])).tolist()
     if m.interval_kind == "unit":
         ok = abs(lo) < 1e-6 and abs(hi - 1.0) < 1e-6
     elif m.interval_kind == "half_line":
@@ -208,61 +199,144 @@ def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> Conf
         raise ValueError(f"map scale must be positive, got kappa={kappa!r}")
     if kappa != 1.0 and (interval_kind, decay_kind) != ("real_line", "DE"):
         raise ValueError("kappa != 1 is only supported for the real-line DE map")
-    builders = {
-        ("unit", "SE"): _unit_se,
-        ("unit", "DE"): _unit_de,
-        ("half_line", "SE"): _half_line_se,
-        ("half_line", "DE"): _half_line_de,
-        ("real_line", "SE"): _real_line_se,
-        ("real_line", "DE"): lambda: _real_line_de(kappa),
+    jets = {
+        ("unit", "SE"): _unit_se_jet,
+        ("unit", "DE"): _unit_de_jet,
+        ("half_line", "SE"): _asinh_exp_jet,
+        ("half_line", "DE"): _half_line_de_jet,
+        ("real_line", "SE"): _real_line_se_jet,
+        ("real_line", "DE"): _real_line_de_jet(kappa),
     }
-    m = builders[(interval_kind, decay_kind)]()
+    m = ConformalMap(interval_kind, decay_kind, kappa, jets[(interval_kind, decay_kind)])
     _validate_map(m)
     return m
 
 
-def qtilde_eval(m: ConformalMap, q: Callable[[float], float], t: float) -> float:
-    """Transformed coefficient 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi)."""
-    p1 = m.dphi(t)
-    if not (p1 > 0.0 and math.isfinite(p1)):
-        raise EvaluationError(f"map derivative must be positive, got {p1!r}", point=t)
-    x = m.phi(t)
+def _values(f, x):
+    """``f`` at every entry of the array ``x``, as floats.
+
+    The result has the shape of ``x``, or is a scalar when ``f`` returns
+    one constant.  ``f`` is called once, on the whole array.  A callable
+    that only takes scalars raises there and is then called point by
+    point; a point at which it raises an arithmetic or value error comes
+    back as NaN.
+    """
     try:
-        qx = q(x)
-    except (ArithmeticError, ValueError) as exc:
-        raise EvaluationError(f"coefficient q undefined at x={x!r}: {exc}", point=t) from exc
-    if not math.isfinite(qx):
-        raise EvaluationError(f"coefficient q non-finite at x={x!r}", point=t)
-    r = m.d2phi(t) / p1
-    return 0.75 * r * r - m.d3phi(t) / (2.0 * p1) + p1 * p1 * qx
+        values = np.asarray(f(x), dtype=float)
+        if values.ndim == 0 or values.shape == x.shape:
+            return values
+        return np.broadcast_to(values, x.shape)
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    out = np.empty(x.size)
+    for i, xi in enumerate(x.ravel().tolist()):
+        try:
+            out[i] = f(xi)
+        except (ArithmeticError, ValueError):
+            out[i] = np.nan
+    return out.reshape(x.shape)
 
 
-def weight_eval(m: ConformalMap, rho: Callable[[float], float], t: float) -> float:
-    """Transformed weight rho(phi(t)) * phi'(t)^2; must come out positive."""
-    p1 = m.dphi(t)
-    x = m.phi(t)
-    try:
-        rx = rho(x)
-    except (ArithmeticError, ValueError) as exc:
-        raise EvaluationError(f"weight rho undefined at x={x!r}: {exc}", point=t) from exc
-    w = rx * p1 * p1
-    if not math.isfinite(w):
-        raise EvaluationError(f"transformed weight non-finite at x={x!r}", point=t)
-    if w <= 0.0:
-        raise EvaluationError(
-            f"transformed weight must be positive, got {w!r}", point=t
-        )
+def _result(values, t):
+    return float(values) if np.ndim(t) == 0 else values
+
+
+def _raise_at(bad, t, describe):
+    """Raise EvaluationError at the first entry flagged in ``bad``."""
+    i = int(np.flatnonzero(bad)[0])
+    raise EvaluationError(describe(i), point=float(t.flat[i]))
+
+
+def _qtilde(jet, q, t):
+    x, p1, p2, p3 = jet
+    qx = _values(q, x)
+    r = p2 / p1
+    out = 0.75 * r * r - p3 / (2.0 * p1) + p1 * p1 * qx
+    ok = np.isfinite(out)
+    if not ok.all():
+        def describe(i):
+            xi, d = float(x.flat[i]), float(p1.flat[i])
+            if not d > 0.0:
+                return f"map derivative must be positive, got {d!r}"
+            if not math.isfinite(np.broadcast_to(qx, x.shape).flat[i]):
+                return f"coefficient q undefined or non-finite at x={xi!r}"
+            return f"transformed coefficient non-finite at x={xi!r}"
+        _raise_at(~ok, t, describe)
+    return out
+
+
+def _weight(jet, rho, t):
+    x, p1 = jet[0], jet[1]
+    w = _values(rho, x) * p1 * p1
+    if not (w.min() > 0.0 and w.max() < np.inf):
+        def describe(i):
+            xi, wi = float(x.flat[i]), float(w.flat[i])
+            if wi > 0.0 or math.isnan(wi):
+                return f"transformed weight undefined or non-finite at x={xi!r}"
+            return f"transformed weight must be positive, got {wi!r}"
+        _raise_at(~((w > 0.0) & (w < np.inf)), t, describe)
     return w
+
+
+def _evaluate(combine, jet, f, t):
+    """``combine(jet(t), f, t)`` for a scalar or an array of t, warnings off."""
+    ts = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        return _result(combine(jet(ts), f, ts), t)
+
+
+def qtilde_eval(m: ConformalMap, q: Callable, t):
+    """Transformed coefficient 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi).
+
+    ``t`` is a scalar (the result is a float) or a numpy array (the
+    result is an array of its shape).  ``q`` is called once, on the array
+    of all phi(t); a callable that only takes scalars is called point by
+    point.  Raises EvaluationError at the first entry of t where the
+    result is not finite.
+    """
+    return _evaluate(_qtilde, m.jet, q, t)
+
+
+def weight_eval(m: ConformalMap, rho: Callable, t):
+    """Transformed weight rho(phi(t)) * phi'(t)^2, which must come out positive.
+
+    Takes a scalar or an array of t and calls ``rho`` as ``qtilde_eval``
+    calls q; raises EvaluationError at the first entry of t where the
+    weight is not positive and finite.
+    """
+    return _evaluate(_weight, m.jet, rho, t)
 
 
 @dataclass(frozen=True)
 class TransformedProblem:
-    """A problem after the change of variables, ready for collocation."""
+    """A problem after the change of variables, ready for collocation.
+
+    ``qtilde`` and ``weight`` take a scalar or an array of t.
+    """
 
     map: ConformalMap
-    qtilde: Callable[[float], float]
-    weight: Callable[[float], float]
+    qtilde: Callable
+    weight: Callable
     decay: DecayProfile
+
+
+def _remember_last(jet):
+    """``jet`` that reuses its result when called again with the same t.
+
+    Assembly asks for qtilde and then for the weight on one mesh; this
+    lets both share one evaluation of the map.
+    """
+    last = [None]
+
+    def cached(t):
+        key = (t.shape, t.tobytes())
+        hit = last[0]
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        values = jet(t)
+        last[0] = (key, values)
+        return values
+    return cached
 
 
 def transform_problem(m: ConformalMap, q, rho, decay: DecayProfile) -> TransformedProblem:
@@ -271,8 +345,7 @@ def transform_problem(m: ConformalMap, q, rho, decay: DecayProfile) -> Transform
     Samples the weight on t in [-3, 3] so a sign mistake in rho surfaces
     at construction rather than deep inside an assembly.
     """
-    qt = lambda t: qtilde_eval(m, q, t)
-    wt = lambda t: weight_eval(m, rho, t)
-    for i in range(-12, 13):
-        wt(i / 4.0)
-    return TransformedProblem(map=m, qtilde=qt, weight=wt, decay=decay)
+    weight_eval(m, rho, np.arange(-12, 13) / 4.0)
+    jet = _remember_last(m.jet)
+    return TransformedProblem(map=m, qtilde=lambda t: _evaluate(_qtilde, jet, q, t),
+                              weight=lambda t: _evaluate(_weight, jet, rho, t), decay=decay)

@@ -5,10 +5,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-import scipy.optimize
+import numpy as np
 import scipy.special
 
-from .expressions import evaluate, free_names, parse_expression
+from .expressions import compile_expression, free_names, parse_expression
 from .maps import ConformalMap, TransformedProblem, map_catalog, transform_problem
 from .meshing import DecayProfile
 
@@ -25,16 +25,18 @@ class ConfigError(ValueError):
 class SturmLiouvilleProblem:
     """A problem -u'' + q u = lambda rho u with its transformation data.
 
-    Decay profiles are declared per problem rather than derived: they come
-    from asymptotic analysis of the transformed solution, which is not
-    automated here.  ``reference`` maps a 1-based eigenvalue index to its
+    ``q`` and ``rho`` are called with a numpy array of x and return an
+    array of its shape or a constant; callables that only take scalars
+    are accepted and called point by point.  Decay profiles are declared
+    per problem rather than derived: they come from asymptotic analysis
+    of the transformed solution, which is not automated here.  ``reference`` maps a 1-based eigenvalue index to its
     known exact value, or is None when no closed form exists.
     """
 
     name: str
     interval_kind: str
-    q: Callable[[float], float]
-    rho: Callable[[float], float]
+    q: Callable
+    rho: Callable
     params: dict = field(default_factory=dict)
     de_map: Optional[ConformalMap] = None
     se_map: Optional[ConformalMap] = None
@@ -54,32 +56,10 @@ def reference_eigenvalue(problem: SturmLiouvilleProblem, index: int) -> Optional
 
 @lru_cache(maxsize=None)
 def bessel_zero(n: int, m: int) -> float:
-    """m-th positive zero of the order-n Bessel function of the first kind.
-
-    Zeros are bracketed by scanning at half the asymptotic spacing pi
-    (consecutive zeros are separated by more than pi for n >= 1) and then
-    polished by Brent's method on scipy's Bessel evaluator.
-    """
+    """m-th positive zero of the order-n Bessel function of the first kind."""
     if n < 1 or m < 1:
         raise ValueError(f"order and index must be >= 1, got n={n!r}, m={m!r}")
-    f = lambda x: scipy.special.jv(n, x)
-    step = math.pi / 2.0
-    x = 1e-9
-    fx = f(x)
-    found = 0
-    for _ in range(10000):
-        y = x + step
-        fy = f(y)
-        if fx == 0.0:
-            found += 1
-            if found == m:
-                return x
-        elif fx * fy < 0.0:
-            found += 1
-            if found == m:
-                return float(scipy.optimize.brentq(f, x, y, xtol=1e-14, rtol=8.9e-16))
-        x, fx = y, fy
-    raise RuntimeError(f"failed to bracket zero {m} of J_{n}")
+    return float(scipy.special.jn_zeros(n, m)[m - 1])
 
 
 def _bessel(n: int = 7) -> SturmLiouvilleProblem:
@@ -145,8 +125,8 @@ def _singular(kappa: float = _ADAPTED_KAPPA) -> SturmLiouvilleProblem:
     return SturmLiouvilleProblem(
         name="singular" if kappa == 1.0 else "singular-adapted",
         interval_kind="real_line",
-        q=lambda x: x * x + math.tanh(x) / math.log(x * x + 1.1),
-        rho=lambda x: 1.0 / (x * x + math.cos(x)),
+        q=lambda x: x * x + np.tanh(x) / np.log(x * x + 1.1),
+        rho=lambda x: 1.0 / (x * x + np.cos(x)),
         params={"kappa": kappa},
         de_map=map_catalog("real_line", "DE", kappa=kappa),
         se_map=map_catalog("real_line", "SE"),
@@ -272,13 +252,12 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    q_node, rho_node = exprs["q"], exprs["rho"]
     frozen = dict(params)
     return SturmLiouvilleProblem(
         name=fields.get("name", "custom"),
         interval_kind=interval_kind,
-        q=lambda x: evaluate(q_node, x, frozen),
-        rho=lambda x: evaluate(rho_node, x, frozen),
+        q=compile_expression(exprs["q"], frozen),
+        rho=compile_expression(exprs["rho"], frozen),
         params=frozen,
         de_map=de_map,
         se_map=se_map,

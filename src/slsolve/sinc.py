@@ -50,11 +50,16 @@ def diff_matrix(order: int, M: int, N: int) -> np.ndarray:
     if order == 0:
         return np.eye(size)
     k = np.arange(size)
-    offset = np.abs(k[None, :] - k[:, None])
-    sign = np.where(offset % 2 == 0, 1.0, -1.0)
-    out = -2.0 * sign / np.square(np.maximum(offset, 1))
-    out[offset == 0] = -np.pi**2 / 3.0
-    return out
+    row = np.where(k % 2 == 0, -2.0, 2.0) / np.square(np.maximum(k, 1))
+    row[0] = -np.pi**2 / 3.0
+    # Entry (j, k) depends on |k - j| only: lay the row out as
+    # row[size-1], ..., row[1], row[0], row[1], ..., row[size-1] and read
+    # row j of the matrix as the window starting at size-1-j.
+    band = np.concatenate((row[:0:-1], row))
+    step = band.itemsize
+    windows = np.ndarray((size, size), buffer=band, offset=(size - 1) * step,
+                         strides=(-step, step))
+    return windows.copy()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
-                     MeshConfig, assemble, builtin, de_mesh, map_catalog,
-                     solve_generalized, solve_standard_symmetric,
-                     transform_problem, transformed)
+                     MeshConfig, assemble, builtin, de_mesh, de_mesh_symmetric,
+                     map_catalog, se_mesh, solve_generalized,
+                     solve_standard_symmetric, transform_problem, transformed)
 from slsolve.meshing import DecayProfile
 
 
@@ -172,3 +173,43 @@ def test_generalized_eigenvector_residuals_low_end():
         residual = np.linalg.norm(A @ z - mu * (w * z))
         scale = np.linalg.norm(A @ z) + abs(mu) * np.linalg.norm(w * z)
         assert residual <= 1e-8 * scale
+
+
+def _level_mesh(problem, method, n):
+    if method == "se":
+        return se_mesh(problem.se_profile, n)
+    profile = problem.de_profile
+    if profile.beta_left != profile.beta_right or profile.gamma_left != profile.gamma_right:
+        return de_mesh(profile, n)
+    return de_mesh_symmetric(profile, n)
+
+
+@pytest.mark.parametrize("method,n,kind,index,point", [
+    ("se", 80, AssemblyError, -80, -19.869176531592203),
+    ("de", 140, DefinitenessError, 247, 5.955348338410549),
+    ("de", 200, AssemblyError, -200, -3.6531342977946095),
+])
+def test_assemble_reports_leftmost_failure(method, n, kind, index, point):
+    # The tails of the Bessel mesh do not resolve at these levels; the
+    # error names the leftmost failing k, q ahead of w at the same k.
+    problem = builtin("bessel", n=7)
+    with pytest.raises(AssemblyError) as info:
+        assemble(transformed(problem, method), _level_mesh(problem, method, n))
+    assert type(info.value) is kind
+    assert info.value.index == index
+    assert info.value.point == point
+
+
+@pytest.mark.parametrize("name", ["bessel", "laguerre", "singular"])
+@pytest.mark.parametrize("method", ["se", "de"])
+def test_builtin_levels_solve_or_raise_typed_error_without_warnings(name, method):
+    problem = builtin(name)
+    tp = transformed(problem, method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(20, 201, 20):
+            try:
+                system = assemble(tp, _level_mesh(problem, method, n))
+            except AssemblyError:
+                continue
+            assert np.isfinite(solve_generalized(system).eigenvalues[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slsolve import ExpressionError, parse_expression
-from slsolve.expressions import evaluate, free_names, pretty
+from slsolve.expressions import compile_expression, evaluate, free_names, pretty
 
 
 def ev(text, x=0.0, **params):
@@ -106,3 +106,22 @@ def test_pretty_round_trip(text):
 def test_free_names():
     node = parse_expression("(4*n^2-1)/(4*x^2) + sin(b)")
     assert free_names(node) == {"n", "x", "b"}
+
+
+def test_compiled_expression_evaluates_arrays():
+    node = parse_expression("(a^2-1/4)/x^2 - (a+1)/2 + x^2/16 + tanh(x)/log(x^2+1.1)")
+    f = compile_expression(node, {"a": 2.5})
+    xs = np.linspace(-3.0, 3.0, 12)
+    values = f(xs)
+    assert values.shape == xs.shape
+    np.testing.assert_array_equal(values, [evaluate(node, x, {"a": 2.5}) for x in xs.tolist()])
+
+
+def test_compiled_expression_is_undefined_as_nan_or_inf():
+    with np.errstate(all="ignore"):
+        values = compile_expression(parse_expression("log(x)"), {})(np.array([-1.0, 0.0, 1.0]))
+    assert math.isnan(values[0]) and values[1] == -math.inf and values[2] == 0.0
+    assert math.isnan(ev("sqrt(x)", x=-4.0))
+    assert ev("1/x", x=0.0) == math.inf
+    with pytest.raises(ExpressionError, match="unknown name"):
+        compile_expression(parse_expression("x + b"), {})

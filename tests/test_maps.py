@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import EvaluationError, map_catalog, qtilde_eval, transform_problem, weight_eval
+from slsolve import (EvaluationError, builtin, de_mesh, map_catalog, parse_problem_config,
+                     qtilde_eval, se_mesh, transform_problem, transformed, weight_eval)
 from slsolve.meshing import DecayProfile
 
 ALL_MAPS = [
@@ -166,3 +167,61 @@ def test_transform_problem_samples_weight():
     rho = lambda x: math.cos(x)  # negative inside the sampled window
     with pytest.raises(EvaluationError):
         transform_problem(m, lambda x: 0.0, rho, DecayProfile.se(alpha=1.0, rho_decay=1.0, d=1.0))
+
+
+RADIAL_WELL = """
+name = radial-well
+interval = halfline
+map = de
+param a = 2.5
+q = (a^2-1/4)/x^2 + x^2/16
+rho = 1
+d = 0.7853981633974483
+beta_l = 1.25
+beta_r = 0.03125
+gamma_l = 1
+gamma_r = 2
+alpha_se = 1
+rho_decay_se = 1
+"""
+
+
+def _mesh_points(problem, method, n):
+    mesh = se_mesh(problem.se_profile, n) if method == "se" else de_mesh(problem.de_profile, n)
+    return np.arange(-mesh.M, mesh.N + 1) * mesh.h
+
+
+@pytest.mark.parametrize("problem", [builtin("bessel", n=7), builtin("laguerre", alpha=3.0),
+                                     builtin("singular"), parse_problem_config(RADIAL_WELL)],
+                         ids=["bessel", "laguerre", "singular", "radial-well"])
+@pytest.mark.parametrize("method", ["se", "de"])
+def test_array_evaluation_matches_scalar_path(problem, method):
+    tp = transformed(problem, method)
+    m = tp.map
+    t = _mesh_points(problem, method, 40)
+    q_array, w_array = tp.qtilde(t), tp.weight(t)
+    q_scalar = np.array([qtilde_eval(m, problem.q, ti) for ti in t.tolist()])
+    w_scalar = np.array([weight_eval(m, problem.rho, ti) for ti in t.tolist()])
+    # scaled deviation as in criterion 6d
+    assert np.max(np.abs(q_array - q_scalar) / np.maximum(1.0, np.abs(q_scalar))) <= 1e-12
+    assert np.max(np.abs(w_array - w_scalar) / w_scalar) <= 1e-12
+
+
+def test_scalar_only_coefficient_is_evaluated_point_by_point():
+    m = map_catalog("half_line", "SE")
+    t = np.linspace(-2.0, 2.0, 9)
+    scalar_only = lambda x: math.log(x) + 1.0 / x
+    vectorized = lambda x: np.log(x) + 1.0 / x
+    np.testing.assert_array_equal(qtilde_eval(m, scalar_only, t), qtilde_eval(m, vectorized, t))
+    with pytest.raises(EvaluationError) as info:
+        qtilde_eval(map_catalog("real_line", "SE"), scalar_only, t)
+    assert info.value.point == -2.0
+
+
+def test_evaluation_error_names_first_failing_entry():
+    m = map_catalog("real_line", "SE")
+    t = np.array([-1.5, -0.5, 1.0, 2.0, 3.0])
+    with pytest.raises(EvaluationError) as info:
+        weight_eval(m, lambda x: np.where(x > 0.0, 1.0, -1.0), t)
+    assert info.value.point == -1.5
+    assert isinstance(weight_eval(m, lambda x: 1.0, 0.5), float)

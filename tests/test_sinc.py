@@ -139,3 +139,21 @@ def test_vectorized_sinc_matches_scalar():
     zs = np.linspace(-5, 5, 101)
     for z in zs:
         assert np.sinc(z) == pytest.approx(sinc(float(z)), rel=1e-15, abs=1e-16)
+
+
+def _diff_matrix_dense(M, N):
+    # Entry by entry from the offsets |k - j|: the reference for the
+    # Toeplitz fill, which must reproduce it bit for bit.
+    k = np.arange(M + N + 1)
+    offset = np.abs(k[None, :] - k[:, None])
+    sign = np.where(offset % 2 == 0, 1.0, -1.0)
+    out = -2.0 * sign / np.square(np.maximum(offset, 1))
+    out[offset == 0] = -np.pi**2 / 3.0
+    return out
+
+
+@pytest.mark.parametrize("M,N", [(0, 0), (0, 1), (3, 7), (20, 20), (60, 60), (140, 140)])
+def test_diff_matrix_order2_matches_dense_reference(M, N):
+    D = diff_matrix(2, M, N)
+    assert D.flags.c_contiguous and D.flags.writeable
+    assert np.array_equal(D, _diff_matrix_dense(M, N))
