@@ -12,7 +12,7 @@ from .eigensolve import AssemblyError, SolverError
 from .expressions import ExpressionError
 from .problems import ConfigError, builtin, parse_problem_config
 from .study import (InsufficientDataError, StudyError, compare_methods,
-                    convergence_study, emit_csv, rate_fit)
+                    convergence_study, emit_csv, rate_fit, singular_comparison)
 
 _BUILTIN_NAMES = ("bessel", "laguerre", "singular")
 
@@ -102,19 +102,15 @@ def main(argv=None) -> int:
         ns = range(args.n_min, args.n_max + 1)
 
         if args.compare:
-            adapted = None
             if args.problem == "singular":
                 # Compare the plain whole-line map against the rescaled one.
                 params = _parse_params(args.param)
                 kappa = args.kappa if args.kappa is not None else params.pop("kappa", None)
                 if params:
                     raise ConfigError(f"singular takes no parameters {sorted(params)}")
-                problem = builtin("singular", kappa=1.0)
-                adapted = (builtin("singular", kappa=kappa)
-                           if kappa is not None else builtin("singular"))
+                series = singular_comparison(ns, args.eig_index, adapted_kappa=kappa)
             else:
-                problem = _load_problem(args)
-            series = compare_methods(problem, ns, eig_index=args.eig_index, adapted=adapted)
+                series = compare_methods(_load_problem(args), ns, eig_index=args.eig_index)
             records = [r for recs in series.values() for r in recs]
             if args.rate_fit:
                 for label, recs in series.items():

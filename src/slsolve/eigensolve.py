@@ -10,22 +10,27 @@ where delta2 is the order-2 sinc differentiation matrix.  A is symmetric
 by construction and D^2 is diagonal positive, so the generalized
 eigenvalues are real.
 
-Two reduction routes are used:
+Two routes are used, chosen by the weight grading max(w)/min(w):
 
-* moderate weight grading: the diagonal congruence
-  B = D^-1 A D^-1 applied as a_jk / (d_j d_k), which is exact, cheap and
-  bitwise-symmetric; eigenvalues of B are the generalized eigenvalues.
+* up to GRADE_LIMIT: the diagonal congruence B = D^-1 A D^-1, applied
+  as a_jk / (d_j d_k), which is exact, cheap and bitwise-symmetric;
+  eigenvalues of B are the generalized eigenvalues.
 
-* strong grading (max w / min w beyond ~1e8, typical of
-  double-exponential weights at large truncation): the congruence norm
-  explodes like 1/min(w) and a dense symmetric solver then loses the
-  small eigenvalues entirely.  Instead factor A + s D^2 = L L^T with a
-  small stabilizing shift s and solve for G = L^-1 D^2 L^-T; the lowest
-  generalized eigenvalues become the LARGEST eigenvalues of G and are
-  recovered with absolute accuracy ~eps*(mu+s).  Eigenvalues beyond
-  1/eps of the smallest are not resolvable in this regime and are
-  reported saturated at the clamp magnitude; callers of this package
-  only consume the low end of the spectrum.
+* beyond it (double-exponential weights at large truncation are graded
+  by up to 1e272): the congruence norm explodes like 1/min(w) and a
+  dense symmetric solver then loses the small eigenvalues entirely.
+  Instead one LAPACK generalized solve (``scipy.linalg.eigh``) of the
+  pencil (D^2, A + s D^2), with a small shift s that makes A + s D^2
+  positive definite, gives theta = 1/(mu + s): the lowest generalized
+  eigenvalues are the LARGEST theta and are recovered with absolute
+  accuracy ~eps*(mu+s).  Eigenvalues beyond 1/eps of the smallest are
+  not resolvable in this regime and are reported saturated; callers of
+  this package only consume the low end of the spectrum.
+
+The generalized solve would serve ungraded pencils as well, but there it
+is the slower route (44-88 % slower than the congruence at sizes
+121-401, one BLAS thread) and it moves rounding-level eigenvalues, so
+the congruence keeps every pencil the grading allows.
 """
 
 from dataclasses import dataclass
@@ -153,33 +158,25 @@ def _solve_inverted(A, w, compute_vectors):
         s = (np.diag(A) / w).min()
     if not (s > 0.0 and np.isfinite(s)):
         s = abs(np.trace(A)) / w.sum() * 1e-6 + np.finfo(float).tiny
-    L = None
     for _ in range(60):
         try:
-            L = np.linalg.cholesky(A + np.diag(s * w))
+            # theta = 1/(mu + s), ascending: the low mu come out last.
+            result = scipy.linalg.eigh(np.diag(w), A + np.diag(s * w),
+                                       eigvals_only=not compute_vectors)
             break
         except np.linalg.LinAlgError:
             s *= 10.0
-    if L is None:
+    else:
         raise SolverError("could not find a positive definite shift of (A, D^2)")
-
-    Y = scipy.linalg.solve_triangular(L, np.diag(w), lower=True)
-    G = scipy.linalg.solve_triangular(L, Y.T, lower=True)
-    G = 0.5 * (G + G.T)
-    spectrum = solve_standard_symmetric(G, compute_vectors=compute_vectors)
-    theta = spectrum.eigenvalues
+    theta, V = result if compute_vectors else (result, None)
     # Anything below eps*max(theta) is noise from the unresolvable top of
     # the mu-spectrum; clamp so those saturate instead of reordering.
-    floor = 0.5 * np.finfo(float).eps * theta[-1]
-    clamped = np.clip(theta, floor, None)
-    mu = 1.0 / clamped - s
-    order = np.argsort(mu)
-    mu = mu[order]
-    if spectrum.eigenvectors is None:
+    theta = np.clip(theta, 0.5 * np.finfo(float).eps * theta[-1], None)[::-1]
+    mu = 1.0 / theta - s
+    if V is None:
         return Spectrum(eigenvalues=mu)
-    Z = scipy.linalg.solve_triangular(L.T, spectrum.eigenvectors, lower=False)
-    Z = Z / np.sqrt(clamped)[None, :]
-    return Spectrum(eigenvalues=mu, eigenvectors=Z[:, order])
+    # eigh normalizes v^T (A + sD^2) v = 1, so v^T D^2 v = theta.
+    return Spectrum(eigenvalues=mu, eigenvectors=V[:, ::-1] / np.sqrt(theta))
 
 
 def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False) -> Spectrum:

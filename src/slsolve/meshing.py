@@ -10,7 +10,8 @@ to equate the tail contributions; single-exponential (SE) decay
 The DE mesh size solves ``beta * exp(gamma n h) * h = pi d`` exactly,
 which equates the truncation and discretization error exponents; the
 closed-form solution is ``h = W(pi d gamma n / beta) / (gamma n)`` with
-W the Lambert function.  This form is preferred over its asymptotic
+W the principal branch of the Lambert function, taken from
+``scipy.special.lambertw``.  This form is preferred over its asymptotic
 ``log(pi d gamma n / beta)/(gamma n)`` replacement because it behaves
 markedly better at moderate n.
 """
@@ -19,9 +20,21 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .lambertw import lambert_w0
+import scipy.special
 
 _D_BOUND_SLACK = 1e-12
+
+
+def lambert_w0(x: float) -> float:
+    """Principal branch of the Lambert W function: w >= 0 with w e^w = x.
+
+    Raises ValueError if ``x`` is negative or not finite.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"lambert_w0 requires a finite argument, got {x!r}")
+    if x < 0.0:
+        raise ValueError(f"lambert_w0 is only defined for x >= 0, got {x!r}")
+    return float(scipy.special.lambertw(x).real)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Sinc basis functions and the collocation differentiation matrices."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,36 +59,3 @@ def diff_matrix(order: int, M: int, N: int) -> np.ndarray:
     windows = np.ndarray((size, size), buffer=band, offset=(size - 1) * step,
                          strides=(-step, step))
     return windows.copy()
-
-
-@dataclass(frozen=True)
-class SincWeights:
-    """Coefficients of a truncated sinc expansion on the mesh j*h, j = -M..N."""
-
-    h: float
-    M: int
-    N: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError(f"mesh size must be positive, got h={self.h!r}")
-        if self.M < 0 or self.N < 0:
-            raise ValueError(f"truncation indices must be nonnegative, got M={self.M}, N={self.N}")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or len(values) != self.M + self.N + 1:
-            raise ValueError(
-                f"expected {self.M + self.N + 1} coefficients, got shape {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
-
-
-def expansion_eval(weights: SincWeights, x: float) -> float:
-    """Evaluate the truncated expansion sum_j values_j * S(j,h)(x).
-
-    At a mesh point x = k*h this reproduces the stored coefficient
-    values_k exactly (discrete orthogonality of the basis).
-    """
-    j = np.arange(-weights.M, weights.N + 1)
-    # np.sinc is sin(pi x)/(pi x), identical to the scalar sinc here.
-    return float(weights.values @ np.sinc((x - j * weights.h) / weights.h))

@@ -12,8 +12,8 @@ from .eigensolve import assemble, solve_generalized
 from .meshing import de_mesh, de_mesh_symmetric, se_mesh
 from .problems import SturmLiouvilleProblem, builtin, reference_eigenvalue, transformed
 
-# Errors at or below this are double-precision plateau noise and carry no
-# rate information.
+# Errors at or below this, relative to max(1, |mu|), are double-precision
+# plateau noise and carry no rate information.
 PLATEAU_FLOOR = 1e-13
 
 CSV_HEADER = ("method", "problem", "n", "M", "N", "h", "size",
@@ -158,18 +158,19 @@ def rate_fit(records: Sequence[StudyRecord]):
 
     Returns (kappa_hat, r_squared) with kappa_hat = -slope.  Only the
     pre-plateau region is fitted: the record sequence is cut at the first
-    error at or below PLATEAU_FLOOR (later records are rounding noise,
-    whether above or below the floor), and n < 2 is excluded since
-    n/log(n) degenerates.
+    error at or below PLATEAU_FLOOR * max(1, |mu|) (later records are
+    rounding noise, whether above or below the floor), and n < 3 is
+    excluded since n/log(n) is not monotone there (n = 2 and n = 4 share
+    the abscissa 2/log 2).
     """
     ordered = sorted((r for r in records if r.error() is not None), key=lambda r: r.n)
-    errors = [r.error() for r in ordered]
     cut = len(ordered)
-    for idx, e in enumerate(errors):
-        if not math.isfinite(e) or e <= PLATEAU_FLOOR:
+    for idx, r in enumerate(ordered):
+        e = r.error()
+        if not math.isfinite(e) or e <= PLATEAU_FLOOR * max(1.0, abs(r.mu)):
             cut = idx
             break
-    usable = [(r.n, r.error()) for r in ordered[:cut] if r.n >= 2 and r.error() > 0.0]
+    usable = [(r.n, r.error()) for r in ordered[:cut] if r.n >= 3 and r.error() > 0.0]
     if len(usable) < 5:
         raise InsufficientDataError(
             f"rate fit needs at least 5 pre-plateau records, got {len(usable)}"

@@ -37,6 +37,14 @@ def test_singular_compare_includes_adapted(tmp_path):
     assert names == {"singular", "singular-adapted"}
 
 
+def test_singular_compare_rejects_stray_param(tmp_path, capsys):
+    code = main(["--problem", "singular", "--compare", "--param", "kappa=0.5",
+                 "--param", "depth=2", "--n-min", "3", "--n-max", "8",
+                 "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "['depth']" in capsys.readouterr().err
+
+
 def test_rate_fit_output(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["--problem", "laguerre", "--param", "alpha=3", "--method", "de",

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -145,6 +146,27 @@ def test_scaling_invariance_graded_route():
     scaled = solve_generalized(GeneralizedSystem(
         1e4 * system.matrix, 1e4 * system.weights, system.mesh)).eigenvalues[:6]
     np.testing.assert_allclose(scaled, base, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_graded_route_against_extended_precision_oracle(n):
+    # The same stored pencil, reduced exactly as D^-1 A D^-1 and solved
+    # with enough digits to carry the whole weight grading: what remains
+    # is the double-precision solver's own rounding error.
+    system = _bessel_system(n)
+    w = system.weights
+    grading = w.max() / w.min()
+    assert grading > 1e8
+    with mpmath.workdps(int(math.log10(grading)) + 40):
+        d = [mpmath.sqrt(mpmath.mpf(float(x))) for x in w]
+        B = mpmath.matrix(system.size)
+        for j in range(system.size):
+            for k in range(system.size):
+                B[j, k] = mpmath.mpf(float(system.matrix[j, k])) / (d[j] * d[k])
+        oracle = sorted(mpmath.eigsy(B, eigvals_only=True))[:4]
+        oracle = np.array([float(x) for x in oracle])
+    mu = solve_generalized(system).eigenvalues[:4]
+    np.testing.assert_allclose(mu, oracle, rtol=1e-13, atol=0.0)
 
 
 def test_low_spectrum_real_and_positive():

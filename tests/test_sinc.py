@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import SincWeights, diff_matrix, expansion_eval, sinc, sinc_basis
+from slsolve import diff_matrix, sinc, sinc_basis
 
 
 def d2_basis_fd(j, h, x, step=1e-2):
@@ -93,46 +93,6 @@ def test_diff_matrix_rejects_bad_arguments():
         diff_matrix(1, 2, 2)
     with pytest.raises(ValueError):
         diff_matrix(2, -1, 2)
-
-
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        SincWeights(h=1.0, M=1, N=1, values=np.zeros(2))
-    with pytest.raises(ValueError):
-        SincWeights(h=-1.0, M=1, N=1, values=np.zeros(3))
-
-
-def test_expansion_reproduces_coefficients_at_mesh_points():
-    rng = np.random.default_rng(7)
-    w = SincWeights(h=0.3, M=4, N=6, values=rng.standard_normal(11))
-    for idx, k in enumerate(range(-4, 7)):
-        assert expansion_eval(w, k * 0.3) == pytest.approx(w.values[idx], abs=1e-13)
-
-
-def test_expansion_zero_weights():
-    w = SincWeights(h=1.0, M=2, N=2, values=np.zeros(5))
-    assert expansion_eval(w, 0.37) == 0.0
-
-
-def test_expansion_single_weight():
-    values = np.zeros(3)
-    values[1] = 2.0  # index j = 0 with M = 1
-    w = SincWeights(h=1.0, M=1, N=1, values=values)
-    assert expansion_eval(w, 0.5) == pytest.approx(2.0 * sinc(0.5), rel=1e-15)
-    assert expansion_eval(w, 0.5) == pytest.approx(1.2732395447351628, rel=1e-15)
-
-
-def test_expansion_linear_in_weights():
-    rng = np.random.default_rng(11)
-    v1 = rng.standard_normal(9)
-    v2 = rng.standard_normal(9)
-    a, b = 1.7, -0.4
-    w1 = SincWeights(h=0.5, M=4, N=4, values=v1)
-    w2 = SincWeights(h=0.5, M=4, N=4, values=v2)
-    w12 = SincWeights(h=0.5, M=4, N=4, values=a * v1 + b * v2)
-    for x in np.linspace(-2.5, 2.5, 17):
-        combined = a * expansion_eval(w1, float(x)) + b * expansion_eval(w2, float(x))
-        assert expansion_eval(w12, float(x)) == pytest.approx(combined, rel=1e-13, abs=1e-15)
 
 
 def test_vectorized_sinc_matches_scalar():

@@ -10,10 +10,10 @@ from slsolve import (InsufficientDataError, StudyRecord, builtin,
 from slsolve.study import CSV_HEADER
 
 
-def synthetic(ns, errors, method="de", problem="synthetic"):
+def synthetic(ns, errors, method="de", problem="synthetic", mu=1.0):
     return [
         StudyRecord(method=method, problem=problem, n=n, M=n, N=n, h=1.0 / n,
-                    size=2 * n + 1, eig_index=1, mu=1.0, abs_error=e,
+                    size=2 * n + 1, eig_index=1, mu=mu, abs_error=e,
                     succ_error=None, runtime_ms=1.0)
         for n, e in zip(ns, errors)
     ]
@@ -120,6 +120,21 @@ def test_rate_fit_excludes_plateau():
     kappa_hat, r2 = rate_fit(synthetic(ns, errors))
     assert kappa_hat == pytest.approx(2.0, abs=0.05)
     assert r2 > 0.99
+
+
+def test_rate_fit_plateau_cut_is_relative_to_mu():
+    # A clean decay down to n = 18, then a plateau of rounding noise
+    # around 1e-12 -- about 1e-14 relative to mu = 123 -- holding one
+    # stray 5e-14.  The cut falls where the decay meets the relative
+    # floor, not at the stray level inside the plateau.
+    ns = list(range(2, 41))
+    noise = [1.7, 0.6, 2.4, 0.9, 1.3, 3.1, 0.7]
+    errors = [math.exp(-4.0 * n / math.log(n)) if n <= 18 else noise[n % 7] * 1e-12
+              for n in ns]
+    errors[ns.index(33)] = 5e-14
+    kappa_hat, r2 = rate_fit(synthetic(ns, errors, mu=122.9))
+    assert kappa_hat == pytest.approx(4.0, abs=0.05)
+    assert r2 > 0.999
 
 
 def test_csv_round_trip(tmp_path):
