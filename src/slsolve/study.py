@@ -67,15 +67,18 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
 
     ``method`` is "se" or "de"; ``balanced`` selects the unequal-tail DE
     truncation (ignored for SE).  For each level the eig_index-th smallest
-    generalized eigenvalue is extracted; the error column is absolute when
-    the problem has a reference eigenvalue and successive-difference
-    (against the previous level in the grid) otherwise.
+    generalized eigenvalue is extracted, and only the lowest
+    max(eig_indices) are computed; the error column is absolute when the
+    problem has a reference eigenvalue and successive-difference (against
+    the previous level in the grid) otherwise.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("empty refinement range")
-    if any(i < 1 for i in eig_indices):
-        raise ValueError(f"eigenvalue indices must be >= 1, got {eig_indices!r}")
+    if not eig_indices or any(i < 1 for i in eig_indices):
+        raise ValueError(f"eigenvalue indices must be a nonempty list of values >= 1, "
+                         f"got {eig_indices!r}")
+    count = max(eig_indices)
     tp = transformed(problem, method)
     records = []
     previous = {}
@@ -86,19 +89,19 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
             mesh = de_mesh(problem.de_profile, n)
         else:
             mesh = de_mesh_symmetric(problem.de_profile, n)
+        if count > mesh.size:
+            raise StudyError(
+                problem.name, method, n,
+                ValueError(f"eigenvalue index {count} exceeds matrix dimension {mesh.size}"),
+            )
         start = time.perf_counter()
         try:
             system = assemble(tp, mesh)
-            spectrum = solve_generalized(system)
+            spectrum = solve_generalized(system, count=count)
         except Exception as exc:
             raise StudyError(problem.name, method, n, exc) from exc
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         for i in eig_indices:
-            if i > mesh.size:
-                raise StudyError(
-                    problem.name, method, n,
-                    ValueError(f"eigenvalue index {i} exceeds matrix dimension {mesh.size}"),
-                )
             mu = float(spectrum.eigenvalues[i - 1])
             ref = reference_eigenvalue(problem, i)
             abs_error = abs(mu - ref) if ref is not None else None

@@ -9,6 +9,7 @@ from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                      MeshConfig, assemble, builtin, de_mesh, de_mesh_symmetric,
                      map_catalog, se_mesh, solve_generalized,
                      solve_standard_symmetric, transform_problem, transformed)
+from slsolve.eigensolve import GRADE_LIMIT
 from slsolve.meshing import DecayProfile
 
 
@@ -165,8 +166,9 @@ def test_graded_route_against_extended_precision_oracle(n):
                 B[j, k] = mpmath.mpf(float(system.matrix[j, k])) / (d[j] * d[k])
         oracle = sorted(mpmath.eigsy(B, eigvals_only=True))[:4]
         oracle = np.array([float(x) for x in oracle])
-    mu = solve_generalized(system).eigenvalues[:4]
-    np.testing.assert_allclose(mu, oracle, rtol=1e-13, atol=0.0)
+    for count in (None, 4):
+        mu = solve_generalized(system, count=count).eigenvalues[:4]
+        np.testing.assert_allclose(mu, oracle, rtol=1e-13, atol=0.0)
 
 
 def test_low_spectrum_real_and_positive():
@@ -179,10 +181,11 @@ def test_low_spectrum_real_and_positive():
 
 def test_generalized_eigenvector_orthogonality():
     system = _bessel_system(15)
-    spectrum = solve_generalized(system, compute_vectors=True)
-    Z = spectrum.eigenvectors[:, :5]
-    gram = Z.T @ (system.weights[:, None] * Z)
-    np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
+    for count in (None, 5):
+        spectrum = solve_generalized(system, compute_vectors=True, count=count)
+        Z = spectrum.eigenvectors[:, :5]
+        gram = Z.T @ (system.weights[:, None] * Z)
+        np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
 
 
 def test_generalized_eigenvector_residuals_low_end():
@@ -195,6 +198,66 @@ def test_generalized_eigenvector_residuals_low_end():
         residual = np.linalg.norm(A @ z - mu * (w * z))
         scale = np.linalg.norm(A @ z) + abs(mu) * np.linalg.norm(w * z)
         assert residual <= 1e-8 * scale
+
+
+def _is_graded(system):
+    return system.weights.max() > GRADE_LIMIT * system.weights.min()
+
+
+def test_count_on_ungraded_pencils_is_a_slice_of_the_full_solve():
+    seen = 0
+    for problem in (builtin("bessel"), builtin("laguerre"), builtin("singular")):
+        for method in ("se", "de"):
+            tp = transformed(problem, method)
+            for n in range(2, 61, 7):
+                system = assemble(tp, _level_mesh(problem, method, n))
+                if _is_graded(system):
+                    continue
+                seen += 1
+                full = solve_generalized(system).eigenvalues
+                pairs = solve_generalized(system, compute_vectors=True)
+                for k in (1, 2, 3):
+                    low = solve_generalized(system, count=k)
+                    assert np.array_equal(low.eigenvalues, full[:k])
+                    low = solve_generalized(system, compute_vectors=True, count=k)
+                    assert np.array_equal(low.eigenvalues, pairs.eigenvalues[:k])
+                    assert np.array_equal(low.eigenvectors, pairs.eigenvectors[:, :k])
+    assert seen >= 20
+
+
+@pytest.mark.parametrize("name", ["bessel", "laguerre"])
+def test_count_on_graded_pencils_matches_the_full_solve(name):
+    problem = builtin(name)
+    tp = transformed(problem, "de")
+    seen = 0
+    for n in range(2, 61):
+        system = assemble(tp, de_mesh(problem.de_profile, n))
+        if not _is_graded(system):
+            continue
+        seen += 1
+        full = solve_generalized(system).eigenvalues
+        for k in (1, 2, 3):
+            low = solve_generalized(system, count=k).eigenvalues
+            assert low.shape == (k,)
+            scale = np.maximum(1.0, np.abs(full[:k]))
+            assert np.all(np.abs(low - full[:k]) <= 1e-13 * scale)
+    assert seen >= 20
+
+
+@pytest.mark.parametrize("n", [4, 15])
+def test_count_bounds(n):
+    # n=4 takes the congruence route, n=15 the graded one.
+    system = _bessel_system(n)
+    with pytest.raises(ValueError):
+        solve_generalized(system, count=0)
+    full = solve_generalized(system)
+    pairs = solve_generalized(system, compute_vectors=True)
+    for count in (system.size, system.size + 1):
+        spectrum = solve_generalized(system, count=count)
+        assert np.array_equal(spectrum.eigenvalues, full.eigenvalues)
+        spectrum = solve_generalized(system, compute_vectors=True, count=count)
+        assert np.array_equal(spectrum.eigenvalues, pairs.eigenvalues)
+        assert np.array_equal(spectrum.eigenvectors, pairs.eigenvectors)
 
 
 def _level_mesh(problem, method, n):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import (InsufficientDataError, StudyRecord, builtin,
+from slsolve import (InsufficientDataError, StudyError, StudyRecord, builtin,
                      compare_methods, convergence_study, emit_csv, rate_fit,
                      read_csv, singular_comparison)
+from slsolve import study
 from slsolve.study import CSV_HEADER
 
 
@@ -186,4 +187,20 @@ def test_study_rejects_bad_inputs():
     with pytest.raises(ValueError):
         convergence_study(problem, "de", [3], eig_indices=(0,))
     with pytest.raises(ValueError):
+        convergence_study(problem, "de", [3], eig_indices=())
+    with pytest.raises(ValueError):
         convergence_study(problem, "qz", [3])
+
+
+def test_study_checks_index_before_assembly(monkeypatch):
+    assembled = []
+
+    def no_assembly(tp, mesh):
+        assembled.append(mesh)
+        raise AssertionError("assemble must not run for an out-of-range index")
+
+    monkeypatch.setattr(study, "assemble", no_assembly)
+    # The symmetric DE mesh at n=2 has size 5.
+    with pytest.raises(StudyError, match="eigenvalue index 6 exceeds matrix dimension 5"):
+        convergence_study(builtin("singular"), "de", [2], eig_indices=(1, 6))
+    assert assembled == []
