@@ -10,11 +10,9 @@ import sys
 
 from .eigensolve import AssemblyError, SolverError
 from .expressions import ExpressionError
-from .problems import ConfigError, builtin, parse_problem_config
+from .problems import BUILTIN_NAMES, ConfigError, builtin, parse_problem_config
 from .study import (InsufficientDataError, StudyError, compare_methods,
-                    convergence_study, emit_csv, rate_fit, singular_comparison)
-
-_BUILTIN_NAMES = ("bessel", "laguerre", "singular")
+                    convergence_study, emit_csv, rate_fit)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--balanced", action="store_true",
                         help="unequal-tail DE truncation instead of M = N")
     parser.add_argument("--kappa", type=float,
-                        help="scale of the whole-line DE map (singular problem)")
+                        help="scale of the whole-line DE map (singular problem); "
+                             "the same as --param kappa=KAPPA given last")
     parser.add_argument("--n-min", type=int, required=True)
     parser.add_argument("--n-max", type=int, required=True)
     parser.add_argument("--eig-index", type=int, default=1,
@@ -61,22 +60,13 @@ def _parse_params(pairs):
 
 
 def _load_problem(args):
-    if args.problem in _BUILTIN_NAMES:
+    if args.problem in BUILTIN_NAMES:
         params = _parse_params(args.param)
-        if "n" in params:
-            params["n"] = int(params["n"])
         if args.kappa is not None:
-            if args.problem != "singular":
-                raise ConfigError("--kappa only applies to the singular problem")
             params["kappa"] = args.kappa
-        try:
-            return builtin(args.problem, **params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if args.param:
-        raise ConfigError("--param only applies to builtin problems")
-    if args.kappa is not None:
-        raise ConfigError("--kappa only applies to the singular problem")
+        return builtin(args.problem, **params)
+    if args.param or args.kappa is not None:
+        raise ConfigError("--param and --kappa only apply to builtin problems")
     if not os.path.exists(args.problem):
         raise ConfigError(f"no such builtin problem or config file: {args.problem!r}")
     with open(args.problem) as handle:
@@ -100,23 +90,20 @@ def main(argv=None) -> int:
         if not args.compare and args.method is None:
             raise ConfigError("--method is required unless --compare is given")
         ns = range(args.n_min, args.n_max + 1)
+        problem = _load_problem(args)
 
         if args.compare:
             if args.problem == "singular":
-                # Compare the plain whole-line map against the rescaled one.
-                params = _parse_params(args.param)
-                kappa = args.kappa if args.kappa is not None else params.pop("kappa", None)
-                if params:
-                    raise ConfigError(f"singular takes no parameters {sorted(params)}")
-                series = singular_comparison(ns, args.eig_index, adapted_kappa=kappa)
+                # Compare the plain whole-line map against the requested one.
+                series = compare_methods(builtin("singular", kappa=1.0), ns,
+                                         eig_index=args.eig_index, adapted=problem)
             else:
-                series = compare_methods(_load_problem(args), ns, eig_index=args.eig_index)
+                series = compare_methods(problem, ns, eig_index=args.eig_index)
             records = [r for recs in series.values() for r in recs]
             if args.rate_fit:
                 for label, recs in series.items():
                     _report_fit(label, recs, sys.stdout)
         else:
-            problem = _load_problem(args)
             records = convergence_study(problem, args.method, ns,
                                         (args.eig_index,), balanced=args.balanced)
             if args.rate_fit:

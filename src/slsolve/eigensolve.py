@@ -176,15 +176,17 @@ def _solve_inverted(A, w, compute_vectors, count):
     if not (s > 0.0 and np.isfinite(s)):
         s = abs(np.trace(A)) / w.sum() * 1e-6 + np.finfo(float).tiny
     # theta = 1/(mu + s), ascending: the low mu are the largest theta, so
-    # the lowest `count` of them are the index range n-count+1..n.
-    subset = {} if count >= n else {"range": "I", "il": n - count + 1, "iu": n}
+    # the lowest `count` of them are the index range n-count+1..n.  The
+    # range 1..n with the default abstol takes LAPACK's all-eigenvalue
+    # path, bitwise the same as range="A".
+    il = max(1, n - count + 1)
     for _ in range(60):
         K = A.copy()
         K.reshape(-1)[:: n + 1] += s * w
         # Both matrices are symmetric, so their transposes are the same
         # matrices in the Fortran order LAPACK works in, without a copy.
         theta, V, m, _, info = _sygvx(np.diag(w).T, K.T, jobz="V" if compute_vectors else "N",
-                                      overwrite_a=1, overwrite_b=1, **subset)
+                                      range="I", il=il, iu=n, overwrite_a=1, overwrite_b=1)
         if info <= n:
             break
         # info = n + i: the leading minor of order i of A + sD^2 is not

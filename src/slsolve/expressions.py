@@ -15,7 +15,9 @@ arcsinh, abs.  ``-x^2`` is rejected as ambiguous: write ``(-x)^2`` or
 
 A parsed tree is compiled once, with its parameters bound, into a
 function of x built from numpy operations; one call then evaluates a
-scalar or a whole array of x.  Arithmetic follows numpy: where an
+scalar or a whole array of x.  Compiling is where names are resolved:
+a name that is neither x nor a given parameter raises ExpressionError
+with its line and column.  Arithmetic follows numpy: where an
 expression is undefined the result is NaN or inf, not an exception.
 """
 
@@ -243,68 +245,3 @@ def _compile(node, params):
     op = _OPERATORS[node.op]
     left, right = _compile(node.left, params), _compile(node.right, params)
     return lambda x: op(left(x), right(x))
-
-
-def evaluate(node: Node, x: float, params: dict) -> float:
-    """Evaluate at one x with a parameter environment.
-
-    An undefined point, such as log of a negative number, gives NaN or
-    inf.
-    """
-    with np.errstate(all="ignore"):
-        return float(compile_expression(node, params)(x))
-
-
-def free_names(node: Node) -> set:
-    """All Name identifiers appearing in a tree (the variable x included)."""
-    if isinstance(node, Name):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_names(node.operand)
-    if isinstance(node, Call):
-        return free_names(node.arg)
-    if isinstance(node, Bin):
-        return free_names(node.left) | free_names(node.right)
-    return set()
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def pretty(node: Node) -> str:
-    """Render a tree back to parseable text.
-
-    Conservative about parentheses around '-' and '^' so the rendered
-    form never trips the ambiguity rejection.
-    """
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({pretty(node.arg)})"
-    if isinstance(node, Neg):
-        return f"-({pretty(node.operand)})"
-    lp = _needs_parens(node.left, _PRECEDENCE[node.op], left_side=True, parent_op=node.op)
-    rp = _needs_parens(node.right, _PRECEDENCE[node.op], left_side=False, parent_op=node.op)
-    left = f"({pretty(node.left)})" if lp else pretty(node.left)
-    right = f"({pretty(node.right)})" if rp else pretty(node.right)
-    return f"{left} {node.op} {right}"
-
-
-def _needs_parens(child, parent_prec, left_side, parent_op):
-    if isinstance(child, (Num, Name, Call)):
-        return False
-    if isinstance(child, Neg):
-        # Neg already renders with its own parentheses, but a '^' parent
-        # must still fence its base.
-        return parent_op == "^" and left_side
-    prec = _PRECEDENCE[child.op]
-    if prec < parent_prec:
-        return True
-    if prec > parent_prec:
-        return False
-    # Equal precedence: keep evaluation order for '-', '/', and '^'.
-    if parent_op == "^":
-        return left_side
-    return not left_side and parent_op in ("-", "/")

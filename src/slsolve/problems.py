@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special
 
-from .expressions import compile_expression, free_names, parse_expression
+from .expressions import ExpressionError, compile_expression, parse_expression
 from .maps import ConformalMap, TransformedProblem, map_catalog, transform_problem
 from .meshing import DecayProfile
 
@@ -141,6 +141,7 @@ def _singular(kappa: float = _ADAPTED_KAPPA) -> SturmLiouvilleProblem:
 
 _BUILTINS = {"bessel": _bessel, "laguerre": _laguerre, "singular": _singular}
 _BUILTIN_PARAMS = {"bessel": {"n"}, "laguerre": {"alpha"}, "singular": {"kappa"}}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, **params) -> SturmLiouvilleProblem:
@@ -181,7 +182,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     """
     fields = {}
     exprs = {}
-    expr_lines = {}
     params = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -199,7 +199,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
             params[pname] = _scalar(value, key, lineno)
         elif key in ("q", "rho"):
             exprs[key] = parse_expression(value, line=lineno)
-            expr_lines[key] = lineno
         elif key in _SCALAR_KEYS:
             fields[key] = _scalar(value, key, lineno)
         elif key in ("name", "interval", "map"):
@@ -220,13 +219,12 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     if "d" not in fields:
         raise ConfigError("missing mandatory field 'd'")
 
+    compiled = {}
     for key, node in exprs.items():
-        stray = free_names(node) - {"x"} - set(params)
-        if stray:
-            raise ConfigError(
-                f"expression {key!r} references undeclared names {sorted(stray)}",
-                line=expr_lines[key],
-            )
+        try:
+            compiled[key] = compile_expression(node, params)
+        except ExpressionError as exc:
+            raise ConfigError(f"expression {key!r} references an undeclared name: {exc}") from None
 
     kappa = fields.get("kappa", 1.0)
     de_keys = ("beta_l", "beta_r", "gamma_l", "gamma_r")
@@ -252,13 +250,12 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    frozen = dict(params)
     return SturmLiouvilleProblem(
         name=fields.get("name", "custom"),
         interval_kind=interval_kind,
-        q=compile_expression(exprs["q"], frozen),
-        rho=compile_expression(exprs["rho"], frozen),
-        params=frozen,
+        q=compiled["q"],
+        rho=compiled["rho"],
+        params=params,
         de_map=de_map,
         se_map=se_map,
         de_profile=de_profile,

@@ -4,21 +4,12 @@ import math
 
 import numpy as np
 
-# Below this |z| the direct formula sin(pi z)/(pi z) is replaced by a
-# degree-3 Taylor polynomial in (pi z)^2; keeps relative error at the
-# eps level with no special case pinned to z == 0.
-_SERIES_CUTOFF = 1e-4
-
 
 def sinc(z: float) -> float:
     """sin(pi z) / (pi z), with the removable singularity filled in."""
     if not math.isfinite(z):
         raise ValueError(f"sinc requires a finite argument, got {z!r}")
-    w = math.pi * z
-    if abs(z) >= _SERIES_CUTOFF:
-        return math.sin(w) / w
-    w2 = w * w
-    return 1.0 - w2 / 6.0 * (1.0 - w2 / 20.0 * (1.0 - w2 / 42.0))
+    return float(np.sinc(z))
 
 
 def sinc_basis(j: int, h: float, x: float) -> float:

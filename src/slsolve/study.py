@@ -148,12 +148,10 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
     return series
 
 
-def singular_comparison(n_range: Iterable[int], eig_index: int = 1,
-                        adapted_kappa: Optional[float] = None) -> dict:
+def singular_comparison(n_range: Iterable[int], eig_index: int = 1) -> dict:
     """SE vs plain DE vs rescaled-map DE for the built-in singular problem."""
-    plain = builtin("singular", kappa=1.0)
-    adapted = builtin("singular") if adapted_kappa is None else builtin("singular", kappa=adapted_kappa)
-    return compare_methods(plain, n_range, eig_index, adapted=adapted)
+    return compare_methods(builtin("singular", kappa=1.0), n_range, eig_index,
+                           adapted=builtin("singular"))
 
 
 def rate_fit(records: Sequence[StudyRecord]):

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from slsolve import read_csv
 from slsolve.cli import main
 
@@ -102,6 +104,35 @@ def test_kappa_outside_singular_is_config_error(tmp_path):
     code = main(["--problem", "bessel", "--method", "de", "--kappa", "0.5",
                  "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_non_integer_bessel_order_is_config_error(tmp_path, capsys):
+    code = main(["--problem", "bessel", "--param", "n=7.5", "--method", "de",
+                 "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--method", "de"], ["--compare"]])
+def test_kappa_flag_is_a_last_kappa_param(tmp_path, mode):
+    def rows(*flags):
+        out = tmp_path / "x.csv"
+        assert main(["--problem", "singular", *flags, *mode, "--n-min", "3", "--n-max", "6",
+                     "--output", str(out)]) == 0
+        return [(r.method, r.problem, r.n, r.mu) for r in read_csv(out)]
+
+    assert rows("--param", "kappa=0.5", "--kappa", "1") == rows("--param", "kappa=1")
+
+
+@pytest.mark.parametrize("flag", [["--param", "a=1"], ["--kappa", "0.5"]])
+def test_builtin_flags_on_config_file_are_config_error(tmp_path, capsys, flag):
+    config = tmp_path / "problem.slp"
+    config.write_text("interval = realline\nmap = se\nq = x^2\nrho = 1\nd = 0.5\n"
+                      "alpha_se = 0.5\nrho_decay_se = 2\n")
+    code = main(["--problem", str(config), *flag, "--method", "se",
+                 "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--param and --kappa only apply to builtin problems" in capsys.readouterr().err
 
 
 def test_bad_config_file_line_reported(tmp_path, capsys):

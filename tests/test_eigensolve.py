@@ -9,6 +9,7 @@ from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                      MeshConfig, assemble, builtin, de_mesh, de_mesh_symmetric,
                      map_catalog, se_mesh, solve_generalized,
                      solve_standard_symmetric, transform_problem, transformed)
+from slsolve import eigensolve
 from slsolve.eigensolve import GRADE_LIMIT
 from slsolve.meshing import DecayProfile
 
@@ -258,6 +259,35 @@ def test_count_bounds(n):
         spectrum = solve_generalized(system, compute_vectors=True, count=count)
         assert np.array_equal(spectrum.eigenvalues, pairs.eigenvalues)
         assert np.array_equal(spectrum.eigenvectors, pairs.eigenvectors)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_full_graded_solve_is_bitwise_the_whole_spectrum_call(monkeypatch, vectors):
+    # The full solve asks ?sygvx for the index range 1..n, where LAPACK
+    # takes its all-eigenvalue path: each call must equal range="A".
+    sygvx = eigensolve._sygvx
+    calls = []
+
+    def both_ranges(a, b, **kwargs):
+        whole = {k: v for k, v in kwargs.items() if k not in ("range", "il", "iu")}
+        theta, V, m, _, info = sygvx(a.copy(order="F"), b.copy(order="F"), range="A", **whole)
+        result = sygvx(a, b, **kwargs)
+        assert (result[2], result[4]) == (m, info)
+        assert np.array_equal(result[0][:m], theta[:m])
+        if vectors:
+            assert np.array_equal(result[1][:, :m], V[:, :m])
+        calls.append(m)
+        return result
+
+    monkeypatch.setattr(eigensolve, "_sygvx", both_ranges)
+    for problem in (builtin("bessel"), builtin("laguerre"), builtin("singular", kappa=1.0)):
+        for method in ("se", "de"):
+            tp = transformed(problem, method)
+            for n in range(2, 61, 6):
+                system = assemble(tp, _level_mesh(problem, method, n))
+                if _is_graded(system):
+                    solve_generalized(system, compute_vectors=vectors)
+    assert len(calls) >= 20
 
 
 def _level_mesh(problem, method, n):

@@ -222,7 +222,7 @@ def test_config_nonpositive_decay_constant():
 
 def test_config_undeclared_name_in_expression():
     bad = CONFIG_BESSEL.replace("param n = 7", "param m = 7")
-    with pytest.raises(ConfigError, match="undeclared"):
+    with pytest.raises(ConfigError, match=r"undeclared.*'n' \(line 7, column 4\)"):
         parse_problem_config(bad)
 
 
