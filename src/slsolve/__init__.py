@@ -8,8 +8,7 @@ single-exponential variants are kept as baselines.
 """
 
 from .eigensolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
-                         SolverError, Spectrum, assemble,
-                         solve_generalized, solve_standard_symmetric)
+                         SolverError, Spectrum, assemble, solve_generalized)
 from .expressions import ExpressionError, parse_expression
 from .maps import (ConformalMap, EvaluationError, TransformedProblem,
                    map_catalog, qtilde_eval, transform_problem, weight_eval)
@@ -35,6 +34,6 @@ __all__ = [
     "lambert_w0", "map_catalog", "parse_expression", "parse_problem_config",
     "qtilde_eval", "rate_fit", "read_csv", "reference_eigenvalue", "se_mesh",
     "sinc", "sinc_basis", "singular_comparison", "solve_generalized",
-    "solve_standard_symmetric", "transform_problem", "transformed",
+    "transform_problem", "transformed",
     "weight_eval",
 ]

@@ -9,7 +9,6 @@ import os
 import sys
 
 from .eigensolve import AssemblyError, SolverError
-from .expressions import ExpressionError
 from .problems import BUILTIN_NAMES, ConfigError, builtin, parse_problem_config
 from .study import (InsufficientDataError, StudyError, compare_methods,
                     convergence_study, emit_csv, rate_fit)
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
         emit_csv(records, args.output)
         print(f"wrote {len(records)} records to {args.output}")
         return 0
-    except (ConfigError, ExpressionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"slsolve: configuration error: {exc}", file=sys.stderr)
         return 2
     except (StudyError, AssemblyError, SolverError) as exc:

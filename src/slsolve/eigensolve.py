@@ -59,8 +59,6 @@ from .sinc import diff_matrix
 # abandoned for the shifted factorization route.
 GRADE_LIMIT = 1e8
 
-_SYMMETRY_TOL = 1e-12
-
 
 class AssemblyError(RuntimeError):
     """A coefficient evaluation failed while filling the system."""
@@ -130,37 +128,16 @@ def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
     return GeneralizedSystem(matrix=A, weights=wvals, mesh=mesh)
 
 
-def solve_standard_symmetric(B: np.ndarray, compute_vectors: bool = False) -> Spectrum:
-    """All eigenvalues (ascending) of a dense symmetric matrix.
-
-    Backed by LAPACK's symmetric solvers (Householder tridiagonalization
-    with implicitly shifted QL/QR style iterations), which converge
-    unconditionally for symmetric input and do not require definiteness.
-    Eigenvector residuals satisfy ||B z - lambda z|| <= 1e-10 ||B||_F.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {B.shape}")
-    skew = np.max(np.abs(B - B.T)) if B.size else 0.0
-    if skew > _SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric: max |B - B^T| = {skew!r}")
-    try:
-        if compute_vectors:
-            vals, vecs = np.linalg.eigh(B)
-            return Spectrum(eigenvalues=vals, eigenvectors=vecs)
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(B))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"symmetric eigensolver failed: {exc}") from exc
-
-
 def _solve_congruence(A, w, compute_vectors, count):
     d = np.sqrt(w)
     B = A / np.outer(d, d)
-    spectrum = solve_standard_symmetric(B, compute_vectors=compute_vectors)
-    mu = spectrum.eigenvalues[:count]
-    if spectrum.eigenvectors is None:
-        return Spectrum(eigenvalues=mu)
-    return Spectrum(eigenvalues=mu, eigenvectors=spectrum.eigenvectors[:, :count] / d[:, None])
+    try:
+        if not compute_vectors:
+            return Spectrum(eigenvalues=np.linalg.eigvalsh(B)[:count])
+        mu, vectors = np.linalg.eigh(B)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"symmetric eigensolver failed: {exc}") from exc
+    return Spectrum(eigenvalues=mu[:count], eigenvectors=vectors[:, :count] / d[:, None])
 
 
 _sygvx, = scipy.linalg.get_lapack_funcs(("sygvx",), dtype=np.float64)
@@ -214,7 +191,8 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     ``count`` is the number of lowest eigenvalues the caller reads; only
     those are returned (all of them when it is None or at least the
     size).  Recovered eigenvectors are D^2-orthonormal:
-    z_i^T D^2 z_j = delta_ij.
+    z_i^T D^2 z_j = delta_ij.  A must be exactly symmetric, on both
+    routes.
     """
     w = np.asarray(system.weights, dtype=float)
     if count is None:
@@ -226,6 +204,10 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
         raise DefinitenessError("nonpositive weight entry", index=k - system.mesh.M,
                                 point=(k - system.mesh.M) * system.mesh.h)
     A = np.asarray(system.matrix, dtype=float)
+    if A.shape != (w.size, w.size):
+        raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
     if w.max() <= GRADE_LIMIT * w.min():
         return _solve_congruence(A, w, compute_vectors, count)
     return _solve_inverted(A, w, compute_vectors, count)

@@ -19,9 +19,12 @@ Catalog (decay of the transformed solution in parentheses):
     (0, inf)      arcsinh(e^t)            arcsinh(e^(sinh t))
     (-inf, inf)   t                       kappa * sinh(t)
 
-Every map is evaluated as a jet (phi, phi', phi'', phi''') on a whole
-numpy array of t at once, and the coefficients q and rho are called once,
-on the whole array phi(t).  The half-line maps write arcsinh(e^y) as
+Each DE map is the SE map of its interval after kappa * sinh(t)
+(Takahasi & Mori, 1974), so only the three SE maps are written out and a
+DE jet is an SE jet through the chain rule.  Every map is evaluated as a
+jet (phi, phi', phi'', phi''') on a whole numpy array of t at once, with
+numpy's elementary functions, and the coefficients q and rho are called
+once, on the whole array phi(t).  The half-line maps write arcsinh(e^y) as
 y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
 """
 
@@ -54,8 +57,7 @@ class ConformalMap:
     subexpressions; far out in the tails it can overflow, so call it under
     ``np.errstate``.  ``phi``, ``dphi``, ``d2phi`` and ``d3phi`` take a
     scalar or an array.  ``qtilde_eval`` and ``weight_eval`` call the
-    coefficients q and rho once, on the numpy array phi(t); callables that
-    only take scalars are still accepted and called point by point.
+    coefficients q and rho once, on the numpy array phi(t).
     Instances are immutable and safe to share across threads.
     """
 
@@ -81,34 +83,9 @@ class ConformalMap:
         return self._derivative(3, t)
 
 
-def _from_c_library(name):
-    """``math.<name>`` applied to every entry of an array.
-
-    numpy's vectorized sinh, cosh, tanh, exp and log1p round about 5-25%
-    of arguments differently from the C library in the last bit, and low
-    eigenvalues at rounding level follow such changes of the weights (by
-    up to half a digit at n >= 100).  The maps therefore take their
-    elementary functions from ``math``, and their formulas keep one
-    operation order, so an assembled matrix rounds exactly as a point by
-    point evaluation with ``math`` does.  Where ``math`` reports an
-    overflow, numpy's inf is used.
-    """
-    scalar, vector = getattr(math, name), getattr(np, name)
-
-    def apply(t):
-        try:
-            return np.fromiter(map(scalar, t.ravel().tolist()), float, t.size).reshape(t.shape)
-        except OverflowError:
-            return vector(t)
-    return apply
-
-
-_sinh, _cosh, _tanh, _exp, _log1p = map(_from_c_library, ("sinh", "cosh", "tanh", "exp", "log1p"))
-
-
 def _sech2(y):
     # 1/cosh^2: cosh(y) -> inf gives a clean 0.
-    c = _cosh(y)
+    c = np.cosh(y)
     return 1.0 / (c * c)
 
 
@@ -122,40 +99,22 @@ def _asinh_exp_jet(y):
     max(y, 0) + log1p(a + e^2 / (1 + 1/r)) is y + log(1 + 1/r) for y > 0
     and arcsinh(e) for y <= 0.
     """
-    a = _exp(np.minimum(y, 0.0))
-    b = _exp(-np.maximum(y, 0.0))
+    a = np.exp(np.minimum(y, 0.0))
+    b = np.exp(-np.maximum(y, 0.0))
     g = (a * b) ** 2
     root = np.sqrt(1.0 + g)
     r = 1.0 / root
     p1 = a * r
     c = (b * r) ** 2
     p2 = p1 * c
-    value = np.maximum(y, 0.0) + _log1p(a + g / (1.0 + root))
+    value = np.maximum(y, 0.0) + np.log1p(a + g / (1.0 + root))
     return value, p1, p2, p2 * (3.0 * c - 2.0)
 
 
 def _unit_se_jet(t):
-    u = _tanh(t)
+    u = np.tanh(t)
     s2 = _sech2(t)
     return 0.5 * u + 0.5, 0.5 * s2, -s2 * u, s2 * (2.0 * u * u - s2)
-
-
-def _unit_de_jet(t):
-    s, c = _sinh(t), _cosh(t)
-    u = _tanh(s)
-    s2 = _sech2(s)
-    half = 0.5 * s2
-    c3 = c * c * c
-    return (0.5 * u + 0.5, half * c, half * (s - 2.0 * c * c * u),
-            half * (c - 6.0 * c * s * u + 4.0 * c3 * u * u - 2.0 * c3 * s2))
-
-
-def _half_line_de_jet(t):
-    # phi = psi(sinh t) with psi = arcsinh o exp; chain rule throughout.
-    s, c = _sinh(t), _cosh(t)
-    value, p1, p2, p3 = _asinh_exp_jet(s)
-    c2 = c * c
-    return value, p1 * c, p2 * c2 + p1 * s, (p3 * c2 + 3.0 * p2 * s + p1) * c
 
 
 def _real_line_se_jet(t):
@@ -163,10 +122,20 @@ def _real_line_se_jet(t):
     return t.copy(), zero + 1.0, zero, zero
 
 
-def _real_line_de_jet(kappa: float):
+_SE_JETS = {"unit": _unit_se_jet, "half_line": _asinh_exp_jet, "real_line": _real_line_se_jet}
+
+
+def _de_jet(outer, kappa=1.0):
+    """The jet of t -> outer(kappa sinh t), by the chain rule.
+
+    With s = kappa sinh t and c = kappa cosh t, the derivatives are
+    f' c, f'' c^2 + f' s and (f''' c^2 + 3 f'' s + f') c.
+    """
     def jet(t):
-        s, c = kappa * _sinh(t), kappa * _cosh(t)
-        return s, c, s, c
+        s, c = kappa * np.sinh(t), kappa * np.cosh(t)
+        f0, f1, f2, f3 = outer(s)
+        c2 = c * c
+        return f0, f1 * c, f2 * c2 + f1 * s, (f3 * c2 + 3.0 * f2 * s + f1) * c
     return jet
 
 
@@ -199,42 +168,24 @@ def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> Conf
         raise ValueError(f"map scale must be positive, got kappa={kappa!r}")
     if kappa != 1.0 and (interval_kind, decay_kind) != ("real_line", "DE"):
         raise ValueError("kappa != 1 is only supported for the real-line DE map")
-    jets = {
-        ("unit", "SE"): _unit_se_jet,
-        ("unit", "DE"): _unit_de_jet,
-        ("half_line", "SE"): _asinh_exp_jet,
-        ("half_line", "DE"): _half_line_de_jet,
-        ("real_line", "SE"): _real_line_se_jet,
-        ("real_line", "DE"): _real_line_de_jet(kappa),
-    }
-    m = ConformalMap(interval_kind, decay_kind, kappa, jets[(interval_kind, decay_kind)])
+    jet = _SE_JETS[interval_kind]
+    if decay_kind == "DE":
+        jet = _de_jet(jet, kappa)
+    m = ConformalMap(interval_kind, decay_kind, kappa, jet)
     _validate_map(m)
     return m
 
 
 def _values(f, x):
-    """``f`` at every entry of the array ``x``, as floats.
+    """``f`` called once, on the whole array ``x``, as floats.
 
     The result has the shape of ``x``, or is a scalar when ``f`` returns
-    one constant.  ``f`` is called once, on the whole array.  A callable
-    that only takes scalars raises there and is then called point by
-    point; a point at which it raises an arithmetic or value error comes
-    back as NaN.
+    one constant.
     """
-    try:
-        values = np.asarray(f(x), dtype=float)
-        if values.ndim == 0 or values.shape == x.shape:
-            return values
-        return np.broadcast_to(values, x.shape)
-    except (ArithmeticError, TypeError, ValueError):
-        pass
-    out = np.empty(x.size)
-    for i, xi in enumerate(x.ravel().tolist()):
-        try:
-            out[i] = f(xi)
-        except (ArithmeticError, ValueError):
-            out[i] = np.nan
-    return out.reshape(x.shape)
+    values = np.asarray(f(x), dtype=float)
+    if values.ndim == 0 or values.shape == x.shape:
+        return values
+    return np.broadcast_to(values, x.shape)
 
 
 def _result(values, t):
@@ -290,9 +241,9 @@ def qtilde_eval(m: ConformalMap, q: Callable, t):
 
     ``t`` is a scalar (the result is a float) or a numpy array (the
     result is an array of its shape).  ``q`` is called once, on the array
-    of all phi(t); a callable that only takes scalars is called point by
-    point.  Raises EvaluationError at the first entry of t where the
-    result is not finite.
+    of all phi(t), and must take an array or return a constant.  Raises
+    EvaluationError at the first entry of t where the result is not
+    finite.
     """
     return _evaluate(_qtilde, m.jet, q, t)
 

@@ -25,12 +25,14 @@ class ConfigError(ValueError):
 class SturmLiouvilleProblem:
     """A problem -u'' + q u = lambda rho u with its transformation data.
 
-    ``q`` and ``rho`` are called with a numpy array of x and return an
-    array of its shape or a constant; callables that only take scalars
-    are accepted and called point by point.  Decay profiles are declared
-    per problem rather than derived: they come from asymptotic analysis
-    of the transformed solution, which is not automated here.  ``reference`` maps a 1-based eigenvalue index to its
-    known exact value, or is None when no closed form exists.
+    ``q`` and ``rho`` are called with a numpy array of x, all points of a
+    mesh at once, and must return an array of its shape or a constant.
+    ``transformed`` samples rho on an array, so a scalar-only rho raises
+    its own error there; a scalar-only q raises at the first assembly.
+    Decay profiles are declared per problem rather than derived: they
+    come from asymptotic analysis of the transformed solution, which is
+    not automated here.  ``reference`` maps a 1-based eigenvalue index to
+    its known exact value, or is None when no closed form exists.
     """
 
     name: str
@@ -198,7 +200,10 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
                 raise ConfigError(f"invalid parameter name {pname!r}", line=lineno)
             params[pname] = _scalar(value, key, lineno)
         elif key in ("q", "rho"):
-            exprs[key] = parse_expression(value, line=lineno)
+            try:
+                exprs[key] = parse_expression(value, line=lineno)
+            except ExpressionError as exc:
+                raise ConfigError(f"expression {key!r}: {exc}") from None
         elif key in _SCALAR_KEYS:
             fields[key] = _scalar(value, key, lineno)
         elif key in ("name", "interval", "map"):

@@ -8,7 +8,7 @@ import pytest
 from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                      MeshConfig, assemble, builtin, de_mesh, de_mesh_symmetric,
                      map_catalog, se_mesh, solve_generalized,
-                     solve_standard_symmetric, transform_problem, transformed)
+                     transform_problem, transformed)
 from slsolve import eigensolve
 from slsolve.eigensolve import GRADE_LIMIT
 from slsolve.meshing import DecayProfile
@@ -51,32 +51,45 @@ def test_assemble_dimension_and_symmetry():
 
 def test_assemble_reports_failing_point():
     m = map_catalog("real_line", "SE")
-    tp = transform_problem(m, lambda x: math.log(x), lambda x: 1.0, anyprofile())
+    tp = transform_problem(m, lambda x: np.log(x), lambda x: 1.0, anyprofile())
     with pytest.raises(AssemblyError) as info:
         assemble(tp, MeshConfig(h=0.5, M=4, N=4))
     assert info.value.index == -4
     assert info.value.point == -2.0
 
 
+def _solve_unit_weights(A):
+    n = A.shape[0]
+    return solve_generalized(GeneralizedSystem(A, np.ones(n), MeshConfig(h=1.0, M=0, N=n - 1)),
+                             compute_vectors=True)
+
+
 def test_standard_solver_examples():
-    spectrum = solve_standard_symmetric(np.diag([3.0, 1.0, 2.0]))
+    spectrum = _solve_unit_weights(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(spectrum.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
-    spectrum = solve_standard_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    spectrum = _solve_unit_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(spectrum.eigenvalues, [-1.0, 1.0], atol=1e-14)
-    spectrum = solve_standard_symmetric(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    spectrum = _solve_unit_weights(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(spectrum.eigenvalues, [1.0, 3.0], atol=1e-14)
 
 
 def test_standard_solver_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        solve_standard_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # Both routes refuse a matrix that is not exactly symmetric.
+    A = np.array([[2.0, 1.0, 0.0], [5.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    mesh = MeshConfig(h=1.0, M=1, N=1)
+    for w, graded in (([1.0, 1.0, 1.0], False), ([1.0, 1e-10, 1e-12], True)):
+        assert (max(w) > GRADE_LIMIT * min(w)) == graded
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_generalized(GeneralizedSystem(A, np.array(w), mesh))
+    with pytest.raises(ValueError, match="shape"):
+        solve_generalized(GeneralizedSystem(np.eye(2), np.ones(3), mesh))
 
 
 def test_standard_solver_residuals():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((40, 40))
     B = 0.5 * (B + B.T)
-    spectrum = solve_standard_symmetric(B, compute_vectors=True)
+    spectrum = _solve_unit_weights(B)
     norm = np.linalg.norm(B, "fro")
     for i in range(40):
         z = spectrum.eigenvectors[:, i]

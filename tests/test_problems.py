@@ -198,8 +198,13 @@ def test_config_reproduces_builtin_eigenvalues():
 def test_config_expression_errors_carry_line():
     bad = CONFIG_BESSEL.replace("q = (4*n^2-1)/(4*x^2)", "q = (4*n^2-1)/(4*x^2))")
     lineno = 1 + next(i for i, line in enumerate(bad.splitlines()) if line.startswith("q ="))
-    with pytest.raises(ValueError, match=f"line {lineno}"):
+    with pytest.raises(ConfigError, match=f"line {lineno}"):
         parse_problem_config(bad)
+    with pytest.raises(ConfigError) as info:
+        parse_problem_config("interval = unit\nmap = de\nq = log(\nrho = 1\nd = 1\n")
+    message = str(info.value)
+    assert message.startswith("expression 'q': ")
+    assert message.endswith("(line 3, column 5)") and message.count("line 3") == 1
 
 
 def test_config_missing_mandatory_field():
