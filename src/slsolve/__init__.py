@@ -11,7 +11,7 @@ from .eigensolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                          SolverError, Spectrum, assemble, solve_generalized)
 from .expressions import ExpressionError, parse_expression
 from .maps import (ConformalMap, EvaluationError, TransformedProblem,
-                   map_catalog, qtilde_eval, transform_problem, weight_eval)
+                   map_catalog, transform_problem)
 from .meshing import (DecayProfile, MeshConfig, de_mesh, de_mesh_symmetric,
                       lambert_w0, se_mesh)
 from .problems import (ConfigError, SturmLiouvilleProblem, bessel_zero, builtin,
@@ -32,8 +32,7 @@ __all__ = [
     "builtin", "compare_methods", "convergence_study", "de_mesh",
     "de_mesh_symmetric", "diff_matrix", "emit_csv",
     "lambert_w0", "map_catalog", "parse_expression", "parse_problem_config",
-    "qtilde_eval", "rate_fit", "read_csv", "reference_eigenvalue", "se_mesh",
+    "rate_fit", "read_csv", "reference_eigenvalue", "se_mesh",
     "sinc", "sinc_basis", "singular_comparison", "solve_generalized",
     "transform_problem", "transformed",
-    "weight_eval",
 ]

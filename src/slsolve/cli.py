@@ -5,7 +5,6 @@ Diagnostics go to stderr; the study summary and any rate fit go to stdout.
 """
 
 import argparse
-import os
 import sys
 
 from .eigensolve import AssemblyError, SolverError
@@ -66,10 +65,14 @@ def _load_problem(args):
         return builtin(args.problem, **params)
     if args.param or args.kappa is not None:
         raise ConfigError("--param and --kappa only apply to builtin problems")
-    if not os.path.exists(args.problem):
-        raise ConfigError(f"no such builtin problem or config file: {args.problem!r}")
-    with open(args.problem) as handle:
-        return parse_problem_config(handle.read())
+    try:
+        with open(args.problem) as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        raise ConfigError(f"no such builtin problem or config file: {args.problem!r}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {args.problem!r}: {exc.strerror}") from None
+    return parse_problem_config(text)
 
 
 def _report_fit(label, records, out):
@@ -111,7 +114,8 @@ def main(argv=None) -> int:
         emit_csv(records, args.output)
         print(f"wrote {len(records)} records to {args.output}")
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: the CSV destination cannot be written.
         print(f"slsolve: configuration error: {exc}", file=sys.stderr)
         return 2
     except (StudyError, AssemblyError, SolverError) as exc:

@@ -21,11 +21,13 @@ Catalog (decay of the transformed solution in parentheses):
 
 Each DE map is the SE map of its interval after kappa * sinh(t)
 (Takahasi & Mori, 1974), so only the three SE maps are written out and a
-DE jet is an SE jet through the chain rule.  Every map is evaluated as a
-jet (phi, phi', phi'', phi''') on a whole numpy array of t at once, with
-numpy's elementary functions, and the coefficients q and rho are called
-once, on the whole array phi(t).  The half-line maps write arcsinh(e^y) as
+DE jet is an SE jet through the chain rule.  A map is its jet
+(phi, phi', phi'', phi''') on a whole numpy array of t at once, with
+numpy's elementary functions.  The half-line maps write arcsinh(e^y) as
 y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
+``transform_problem(m, q, rho)`` gives the one evaluation path of the
+transformed coefficients, ``qtilde`` and ``weight`` on arrays of t, which
+call q and rho once each, on the whole array phi(t).
 """
 
 import math
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .meshing import DecayProfile
 
 INTERVAL_KINDS = ("unit", "half_line", "real_line")
 DECAY_KINDS = ("SE", "DE")
@@ -55,32 +55,15 @@ class ConformalMap:
     ``jet(t)`` takes a float numpy array of t and returns the arrays
     (phi, phi', phi'', phi'''), computed together so they share
     subexpressions; far out in the tails it can overflow, so call it under
-    ``np.errstate``.  ``phi``, ``dphi``, ``d2phi`` and ``d3phi`` take a
-    scalar or an array.  ``qtilde_eval`` and ``weight_eval`` call the
-    coefficients q and rho once, on the numpy array phi(t).
-    Instances are immutable and safe to share across threads.
+    ``np.errstate``.  The other fields name the catalog entry, so a
+    problem's repr says which map it uses.  Instances are immutable and
+    safe to share across threads.
     """
 
     interval_kind: str
     decay_kind: str
     kappa: float
     jet: Callable
-
-    def _derivative(self, order, t):
-        with np.errstate(all="ignore"):
-            return _result(self.jet(np.asarray(t, dtype=float))[order], t)
-
-    def phi(self, t):
-        return self._derivative(0, t)
-
-    def dphi(self, t):
-        return self._derivative(1, t)
-
-    def d2phi(self, t):
-        return self._derivative(2, t)
-
-    def d3phi(self, t):
-        return self._derivative(3, t)
 
 
 def _sech2(y):
@@ -139,25 +122,6 @@ def _de_jet(outer, kappa=1.0):
     return jet
 
 
-def _validate_map(m: ConformalMap) -> None:
-    # Monotonicity over the reachable mesh range, endpoint limits at +-20.
-    ts = np.arange(-60, 61) / 10.0
-    bad = np.flatnonzero(~(m.dphi(ts) > 0.0))
-    if bad.size:
-        raise ValueError(f"map derivative not positive at t={float(ts[bad[0]])}")
-    lo, hi = m.phi(np.array([-20.0, 20.0])).tolist()
-    if m.interval_kind == "unit":
-        ok = abs(lo) < 1e-6 and abs(hi - 1.0) < 1e-6
-    elif m.interval_kind == "half_line":
-        ok = 0.0 <= lo < 1e-6 and hi > 10.0
-    else:
-        ok = lo < -10.0 and hi > 10.0
-    if not ok:
-        raise ValueError(
-            f"map does not cover the {m.interval_kind} interval: phi(-20)={lo!r}, phi(20)={hi!r}"
-        )
-
-
 def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> ConformalMap:
     """Look up a catalog map; kappa rescales only the real-line DE map."""
     if interval_kind not in INTERVAL_KINDS:
@@ -171,9 +135,7 @@ def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> Conf
     jet = _SE_JETS[interval_kind]
     if decay_kind == "DE":
         jet = _de_jet(jet, kappa)
-    m = ConformalMap(interval_kind, decay_kind, kappa, jet)
-    _validate_map(m)
-    return m
+    return ConformalMap(interval_kind, decay_kind, kappa, jet)
 
 
 def _values(f, x):
@@ -186,10 +148,6 @@ def _values(f, x):
     if values.ndim == 0 or values.shape == x.shape:
         return values
     return np.broadcast_to(values, x.shape)
-
-
-def _result(values, t):
-    return float(values) if np.ndim(t) == 0 else values
 
 
 def _raise_at(bad, t, describe):
@@ -230,45 +188,25 @@ def _weight(jet, rho, t):
 
 
 def _evaluate(combine, jet, f, t):
-    """``combine(jet(t), f, t)`` for a scalar or an array of t, warnings off."""
-    ts = np.asarray(t, dtype=float)
+    """``combine(jet(t), f, t)`` for a float array of t, warnings off."""
     with np.errstate(all="ignore"):
-        return _result(combine(jet(ts), f, ts), t)
-
-
-def qtilde_eval(m: ConformalMap, q: Callable, t):
-    """Transformed coefficient 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi).
-
-    ``t`` is a scalar (the result is a float) or a numpy array (the
-    result is an array of its shape).  ``q`` is called once, on the array
-    of all phi(t), and must take an array or return a constant.  Raises
-    EvaluationError at the first entry of t where the result is not
-    finite.
-    """
-    return _evaluate(_qtilde, m.jet, q, t)
-
-
-def weight_eval(m: ConformalMap, rho: Callable, t):
-    """Transformed weight rho(phi(t)) * phi'(t)^2, which must come out positive.
-
-    Takes a scalar or an array of t and calls ``rho`` as ``qtilde_eval``
-    calls q; raises EvaluationError at the first entry of t where the
-    weight is not positive and finite.
-    """
-    return _evaluate(_weight, m.jet, rho, t)
+        return combine(jet(t), f, t)
 
 
 @dataclass(frozen=True)
 class TransformedProblem:
     """A problem after the change of variables, ready for collocation.
 
-    ``qtilde`` and ``weight`` take a scalar or an array of t.
+    ``qtilde(t)`` is 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi)
+    and ``weight(t)`` is rho(phi) phi'^2, each on a float numpy array of t,
+    with a result of its shape; they are the one way to evaluate the
+    transformed coefficients.  Each calls q or rho once, on the array of
+    all phi(t), and raises EvaluationError at the first entry of t where
+    its result is not finite, or, for the weight, not positive.
     """
 
-    map: ConformalMap
     qtilde: Callable
     weight: Callable
-    decay: DecayProfile
 
 
 def _remember_last(jet):
@@ -290,13 +228,13 @@ def _remember_last(jet):
     return cached
 
 
-def transform_problem(m: ConformalMap, q, rho, decay: DecayProfile) -> TransformedProblem:
-    """Bundle the transformed coefficient and weight evaluators.
+def transform_problem(m: ConformalMap, q, rho) -> TransformedProblem:
+    """The transformed coefficient and weight of q and rho under the map m.
 
     Samples the weight on t in [-3, 3] so a sign mistake in rho surfaces
     at construction rather than deep inside an assembly.
     """
-    weight_eval(m, rho, np.arange(-12, 13) / 4.0)
+    _evaluate(_weight, m.jet, rho, np.arange(-12, 13) / 4.0)
     jet = _remember_last(m.jet)
-    return TransformedProblem(map=m, qtilde=lambda t: _evaluate(_qtilde, jet, q, t),
-                              weight=lambda t: _evaluate(_weight, jet, rho, t), decay=decay)
+    return TransformedProblem(qtilde=lambda t: _evaluate(_qtilde, jet, q, t),
+                              weight=lambda t: _evaluate(_weight, jet, rho, t))

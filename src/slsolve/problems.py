@@ -65,7 +65,7 @@ def bessel_zero(n: int, m: int) -> float:
 
 
 def _bessel(n: int = 7) -> SturmLiouvilleProblem:
-    if int(n) != n or n < 1:
+    if not (n >= 1 and float(n).is_integer()):
         raise ValueError(f"Bessel order must be an integer >= 1, got {n!r}")
     n = int(n)
     coeff = (4.0 * n * n - 1.0) / 4.0
@@ -166,7 +166,7 @@ def transformed(problem: SturmLiouvilleProblem, method: str) -> TransformedProbl
         raise ValueError(f"unknown method {method!r}; expected 'se' or 'de'")
     if m is None or profile is None:
         raise ConfigError(f"problem {problem.name!r} declares no {method} transformation data")
-    return transform_problem(m, problem.q, problem.rho, profile)
+    return transform_problem(m, problem.q, problem.rho)
 
 
 _INTERVALS = {"unit": "unit", "halfline": "half_line", "realline": "real_line"}

@@ -94,6 +94,22 @@ def test_unknown_problem_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_directory_as_problem_is_config_error(tmp_path, capsys):
+    code = main(["--problem", str(tmp_path), "--method", "de",
+                 "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "configuration error: cannot read config file" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.csv"
+    code = main(["--problem", "bessel", "--method", "de",
+                 "--n-min", "2", "--n-max", "3", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
+
+
 def test_bad_builtin_parameter_is_config_error(tmp_path):
     code = main(["--problem", "laguerre", "--param", "alpha=0.2", "--method", "de",
                  "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
@@ -107,10 +123,11 @@ def test_kappa_outside_singular_is_config_error(tmp_path):
 
 
 def test_non_integer_bessel_order_is_config_error(tmp_path, capsys):
-    code = main(["--problem", "bessel", "--param", "n=7.5", "--method", "de",
-                 "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "integer" in capsys.readouterr().err
+    for order in ("7.5", "inf", "nan"):
+        code = main(["--problem", "bessel", "--param", f"n={order}", "--method", "de",
+                     "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "Bessel order must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [["--method", "de"], ["--compare"]])

@@ -11,7 +11,6 @@ from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                      transform_problem, transformed)
 from slsolve import eigensolve
 from slsolve.eigensolve import GRADE_LIMIT
-from slsolve.meshing import DecayProfile
 
 
 def charpoly_roots(A, w):
@@ -27,13 +26,9 @@ def charpoly_roots(A, w):
     return np.sort(np.roots(coeffs).real)
 
 
-def anyprofile():
-    return DecayProfile.se(alpha=1.0, rho_decay=1.0, d=1.0)
-
-
 def test_assemble_one_point_system():
     m = map_catalog("real_line", "DE")
-    tp = transform_problem(m, lambda x: 0.0, lambda x: 1.0, anyprofile())
+    tp = transform_problem(m, lambda x: 0.0, lambda x: 1.0)
     system = assemble(tp, MeshConfig(h=1.0, M=0, N=0))
     assert system.matrix.shape == (1, 1)
     assert system.matrix[0, 0] == pytest.approx(math.pi**2 / 3.0 - 0.5, abs=1e-14)
@@ -51,7 +46,7 @@ def test_assemble_dimension_and_symmetry():
 
 def test_assemble_reports_failing_point():
     m = map_catalog("real_line", "SE")
-    tp = transform_problem(m, lambda x: np.log(x), lambda x: 1.0, anyprofile())
+    tp = transform_problem(m, lambda x: np.log(x), lambda x: 1.0)
     with pytest.raises(AssemblyError) as info:
         assemble(tp, MeshConfig(h=0.5, M=4, N=4))
     assert info.value.index == -4

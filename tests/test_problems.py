@@ -129,8 +129,7 @@ def test_laguerre_spectrum_independent_of_alpha(alpha):
 def test_laguerre_transformed_closed_form():
     alpha = 3.0
     problem = builtin("laguerre", alpha=alpha)
-    m = problem.de_map
-    from slsolve import qtilde_eval
+    qtilde = transformed(problem, "de").qtilde
 
     def reference(t):
         s, c = math.sinh(t), math.cosh(t)
@@ -141,10 +140,9 @@ def test_laguerre_transformed_closed_form():
         qpart = ((alpha * alpha - 0.25) / (x * x) - (alpha + 1.0) / 2.0 + x * x / 16.0)
         return curvature + qpart * c * c / (1.0 + math.exp(-2.0 * s))
 
-    for t in np.linspace(-2.0, 2.0, 100):
-        t = float(t)
-        ref = reference(t)
-        assert qtilde_eval(m, problem.q, t) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+    t = np.linspace(-2.0, 2.0, 100)
+    ref = [reference(ti) for ti in t.tolist()]
+    assert qtilde(t) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("name,params", [
