@@ -10,8 +10,7 @@ single-exponential variants are kept as baselines.
 from .eigensolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                          SolverError, Spectrum, assemble, solve_generalized)
 from .expressions import ExpressionError, parse_expression
-from .maps import (ConformalMap, EvaluationError, TransformedProblem,
-                   map_catalog, transform_problem)
+from .maps import EvaluationError, TransformedProblem, map_catalog, transform_problem
 from .meshing import (DecayProfile, MeshConfig, de_mesh, de_mesh_symmetric,
                       lambert_w0, se_mesh)
 from .problems import (ConfigError, SturmLiouvilleProblem, bessel_zero, builtin,
@@ -24,7 +23,7 @@ from .study import (InsufficientDataError, StudyError, StudyRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConfigError", "ConformalMap", "DecayProfile",
+    "AssemblyError", "ConfigError", "DecayProfile",
     "DefinitenessError", "EvaluationError", "ExpressionError",
     "GeneralizedSystem", "InsufficientDataError", "MeshConfig",
     "SolverError", "Spectrum", "StudyError", "StudyRecord",

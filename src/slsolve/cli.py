@@ -26,9 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="builtin problem parameter (bessel: n, laguerre: alpha, "
                              "singular: kappa); repeatable")
     parser.add_argument("--method", choices=("se", "de"),
-                        help="transformation to use (required unless --compare)")
+                        help="transformation to use (give this or --compare)")
     parser.add_argument("--balanced", action="store_true",
-                        help="unequal-tail DE truncation instead of M = N")
+                        help="unequal-tail DE truncation instead of M = N (--method de only)")
     parser.add_argument("--kappa", type=float,
                         help="scale of the whole-line DE map (singular problem); "
                              "the same as --param kappa=KAPPA given last")
@@ -37,10 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eig-index", type=int, default=1,
                         help="1-based index into the ascending spectrum (default 1)")
     parser.add_argument("--compare", action="store_true",
-                        help="run every applicable method variant")
+                        help="run every applicable method variant (instead of --method)")
     parser.add_argument("--rate-fit", action="store_true",
                         help="fit log(error) against n/log(n) and report the slope")
-    parser.add_argument("--output", required=True, help="destination CSV path")
+    parser.add_argument("--output", required=True,
+                        help="destination CSV path, opened before the study runs")
     return parser
 
 
@@ -89,29 +90,32 @@ def main(argv=None) -> int:
     try:
         if args.n_min < 1 or args.n_max < args.n_min:
             raise ConfigError(f"invalid refinement range [{args.n_min}, {args.n_max}]")
-        if not args.compare and args.method is None:
-            raise ConfigError("--method is required unless --compare is given")
+        if args.compare == (args.method is not None):
+            raise ConfigError("exactly one of --method and --compare is required")
+        if args.balanced and args.method != "de":
+            raise ConfigError("--balanced applies only to --method de")
         ns = range(args.n_min, args.n_max + 1)
         problem = _load_problem(args)
 
-        if args.compare:
-            if args.problem == "singular":
-                # Compare the plain whole-line map against the requested one.
-                series = compare_methods(builtin("singular", kappa=1.0), ns,
-                                         eig_index=args.eig_index, adapted=problem)
+        # Opened before the study, so an unwritable destination costs nothing.
+        with open(args.output, "w", newline="") as handle:
+            if args.compare:
+                if args.problem == "singular":
+                    # Compare the plain whole-line map against the requested one.
+                    series = compare_methods(builtin("singular", kappa=1.0), ns,
+                                             eig_index=args.eig_index, adapted=problem)
+                else:
+                    series = compare_methods(problem, ns, eig_index=args.eig_index)
+                records = [r for recs in series.values() for r in recs]
+                if args.rate_fit:
+                    for label, recs in series.items():
+                        _report_fit(label, recs, sys.stdout)
             else:
-                series = compare_methods(problem, ns, eig_index=args.eig_index)
-            records = [r for recs in series.values() for r in recs]
-            if args.rate_fit:
-                for label, recs in series.items():
-                    _report_fit(label, recs, sys.stdout)
-        else:
-            records = convergence_study(problem, args.method, ns,
-                                        (args.eig_index,), balanced=args.balanced)
-            if args.rate_fit:
-                _report_fit(args.method, records, sys.stdout)
-
-        emit_csv(records, args.output)
+                records = convergence_study(problem, args.method, ns,
+                                            (args.eig_index,), balanced=args.balanced)
+                if args.rate_fit:
+                    _report_fit(args.method, records, sys.stdout)
+            emit_csv(records, handle)
         print(f"wrote {len(records)} records to {args.output}")
         return 0
     except (ValueError, OSError) as exc:

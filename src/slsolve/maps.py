@@ -21,11 +21,13 @@ Catalog (decay of the transformed solution in parentheses):
 
 Each DE map is the SE map of its interval after kappa * sinh(t)
 (Takahasi & Mori, 1974), so only the three SE maps are written out and a
-DE jet is an SE jet through the chain rule.  A map is its jet
-(phi, phi', phi'', phi''') on a whole numpy array of t at once, with
-numpy's elementary functions.  The half-line maps write arcsinh(e^y) as
-y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
-``transform_problem(m, q, rho)`` gives the one evaluation path of the
+DE jet is an SE jet through the chain rule.  The interval kind, the
+decay kind and kappa pick the map, so a problem stores only its interval
+kind and kappa.  A map is its jet (phi, phi', phi'', phi''') on a whole
+numpy array of t at once, with numpy's elementary functions, and
+``map_catalog`` returns that jet.  The half-line maps write arcsinh(e^y)
+as y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
+``transform_problem(jet, q, rho)`` gives the one evaluation path of the
 transformed coefficients, ``qtilde`` and ``weight`` on arrays of t, which
 call q and rho once each, on the whole array phi(t).
 """
@@ -46,24 +48,6 @@ class EvaluationError(ValueError):
     def __init__(self, message: str, point: float):
         super().__init__(f"{message} (at t={point!r})")
         self.point = point
-
-
-@dataclass(frozen=True)
-class ConformalMap:
-    """A monotone map of the real line onto a problem interval.
-
-    ``jet(t)`` takes a float numpy array of t and returns the arrays
-    (phi, phi', phi'', phi'''), computed together so they share
-    subexpressions; far out in the tails it can overflow, so call it under
-    ``np.errstate``.  The other fields name the catalog entry, so a
-    problem's repr says which map it uses.  Instances are immutable and
-    safe to share across threads.
-    """
-
-    interval_kind: str
-    decay_kind: str
-    kappa: float
-    jet: Callable
 
 
 def _sech2(y):
@@ -122,8 +106,15 @@ def _de_jet(outer, kappa=1.0):
     return jet
 
 
-def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> ConformalMap:
-    """Look up a catalog map; kappa rescales only the real-line DE map."""
+def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> Callable:
+    """The jet of a catalog map; kappa rescales only the real-line DE map.
+
+    The jet takes a float numpy array of t and returns the arrays
+    (phi, phi', phi'', phi'''), computed together so they share
+    subexpressions; far out in the tails it can overflow, so call it under
+    ``np.errstate``.  It keeps no state, so it is safe to share across
+    threads.
+    """
     if interval_kind not in INTERVAL_KINDS:
         raise ValueError(f"unknown interval kind {interval_kind!r}; expected one of {INTERVAL_KINDS}")
     if decay_kind not in DECAY_KINDS:
@@ -135,7 +126,7 @@ def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> Conf
     jet = _SE_JETS[interval_kind]
     if decay_kind == "DE":
         jet = _de_jet(jet, kappa)
-    return ConformalMap(interval_kind, decay_kind, kappa, jet)
+    return jet
 
 
 def _values(f, x):
@@ -228,13 +219,14 @@ def _remember_last(jet):
     return cached
 
 
-def transform_problem(m: ConformalMap, q, rho) -> TransformedProblem:
-    """The transformed coefficient and weight of q and rho under the map m.
+def transform_problem(jet: Callable, q, rho) -> TransformedProblem:
+    """The transformed coefficient and weight of q and rho under a map.
 
-    Samples the weight on t in [-3, 3] so a sign mistake in rho surfaces
-    at construction rather than deep inside an assembly.
+    ``jet`` is a map as ``map_catalog`` returns it.  Samples the weight on
+    t in [-3, 3] so a sign mistake in rho surfaces at construction rather
+    than deep inside an assembly.
     """
-    _evaluate(_weight, m.jet, rho, np.arange(-12, 13) / 4.0)
-    jet = _remember_last(m.jet)
+    _evaluate(_weight, jet, rho, np.arange(-12, 13) / 4.0)
+    jet = _remember_last(jet)
     return TransformedProblem(qtilde=lambda t: _evaluate(_qtilde, jet, q, t),
                               weight=lambda t: _evaluate(_weight, jet, rho, t))

@@ -107,23 +107,6 @@ class MeshConfig:
         return self.M + self.N + 1
 
 
-def _governing_case(profile: DecayProfile):
-    """Which tail fixes the mesh: returns (side, beta, gamma).
-
-    The side with the larger gamma governs; on equal gamma the larger
-    beta does (left wins ties).
-    """
-    bl, br = profile.beta_left, profile.beta_right
-    gl, gr = profile.gamma_left, profile.gamma_right
-    if gl > gr:
-        return "left", bl, gl
-    if gr > gl:
-        return "right", br, gr
-    if bl >= br:
-        return "left", bl, gl
-    return "right", br, gr
-
-
 def de_mesh(profile: DecayProfile, n: int) -> MeshConfig:
     """Balanced DE mesh for governing index n.
 
@@ -143,16 +126,15 @@ def de_mesh(profile: DecayProfile, n: int) -> MeshConfig:
         raise ValueError("de_mesh requires a DE decay profile")
     if n < 1:
         raise ValueError(f"governing index must be >= 1, got {n!r}")
-    side, beta, gamma = _governing_case(profile)
-    warg = math.pi * profile.d * gamma * n / beta
-    w = lambert_w0(warg)
+    # The larger gamma governs, then the larger beta; left wins ties.
+    tails = (profile.gamma_left, profile.beta_left), (profile.gamma_right, profile.beta_right)
+    left = tails[0] >= tails[1]
+    (gamma, beta), (gamma_dep, beta_dep) = tails if left else tails[::-1]
+    w = lambert_w0(math.pi * profile.d * gamma * n / beta)
     h = w / (gamma * n)
-    if side == "left":
-        ratio = profile.gamma_left / profile.gamma_right
-        dep = ratio * n * (1.0 + math.log(profile.beta_left / profile.beta_right) / w)
+    dep = gamma / gamma_dep * n * (1.0 + math.log(beta / beta_dep) / w)
+    if left:
         return MeshConfig(h=h, M=n, N=max(math.ceil(dep), 0))
-    ratio = profile.gamma_right / profile.gamma_left
-    dep = ratio * n * (1.0 + math.log(profile.beta_right / profile.beta_left) / w)
     return MeshConfig(h=h, M=max(math.floor(dep), 0), N=n)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.special
 
 from .expressions import ExpressionError, compile_expression, parse_expression
-from .maps import ConformalMap, TransformedProblem, map_catalog, transform_problem
+from .maps import TransformedProblem, map_catalog, transform_problem
 from .meshing import DecayProfile
 
 
@@ -24,6 +24,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SturmLiouvilleProblem:
     """A problem -u'' + q u = lambda rho u with its transformation data.
+
+    ``interval_kind`` ("unit", "half_line" or "real_line") picks the
+    problem's SE map from ``maps.map_catalog``; its DE map is that map
+    after kappa sinh(t).  ``kappa`` scales only the real-line DE map and
+    is 1 elsewhere: a DE profile declared with an (interval_kind, kappa)
+    the catalog has no DE map for raises ValueError at construction.  A
+    method is available exactly when its decay profile is declared.
 
     ``q`` and ``rho`` are called with a numpy array of x, all points of a
     mesh at once, and must return an array of its shape or a constant.
@@ -40,11 +47,14 @@ class SturmLiouvilleProblem:
     q: Callable
     rho: Callable
     params: dict = field(default_factory=dict)
-    de_map: Optional[ConformalMap] = None
-    se_map: Optional[ConformalMap] = None
+    kappa: float = 1.0
     de_profile: Optional[DecayProfile] = None
     se_profile: Optional[DecayProfile] = None
     reference: Optional[Callable[[int], float]] = None
+
+    def __post_init__(self):
+        if self.de_profile is not None:
+            map_catalog(self.interval_kind, "DE", self.kappa)
 
 
 def reference_eigenvalue(problem: SturmLiouvilleProblem, index: int) -> Optional[float]:
@@ -75,8 +85,6 @@ def _bessel(n: int = 7) -> SturmLiouvilleProblem:
         q=lambda x: coeff / (x * x),
         rho=lambda x: 1.0,
         params={"n": n},
-        de_map=map_catalog("unit", "DE"),
-        se_map=map_catalog("unit", "SE"),
         # Transformed tails: exp(-n e^|t|) on the left, exp(-e^t / 2) on the right.
         de_profile=DecayProfile.de(beta_left=float(n), beta_right=0.5,
                                    gamma_left=1.0, gamma_right=1.0, d=math.pi / 2.0),
@@ -97,8 +105,6 @@ def _laguerre(alpha: float = 3.0) -> SturmLiouvilleProblem:
         q=lambda x: (alpha * alpha - 0.25) / (x * x) - (alpha + 1.0) / 2.0 + x * x / 16.0,
         rho=lambda x: 1.0,
         params={"alpha": alpha},
-        de_map=map_catalog("half_line", "DE"),
-        se_map=map_catalog("half_line", "SE"),
         # Tails exp(-(alpha/2) e^|t|) left and exp(-e^(2t)/32) right.
         de_profile=DecayProfile.de(beta_left=alpha / 2.0, beta_right=1.0 / 32.0,
                                    gamma_left=1.0, gamma_right=2.0, d=math.pi / 4.0),
@@ -129,9 +135,7 @@ def _singular(kappa: float = _ADAPTED_KAPPA) -> SturmLiouvilleProblem:
         interval_kind="real_line",
         q=lambda x: x * x + np.tanh(x) / np.log(x * x + 1.1),
         rho=lambda x: 1.0 / (x * x + np.cos(x)),
-        params={"kappa": kappa},
-        de_map=map_catalog("real_line", "DE", kappa=kappa),
-        se_map=map_catalog("real_line", "SE"),
+        kappa=kappa,
         # Both tails exp(-(kappa^2/8) e^(2|t|)).
         de_profile=DecayProfile.de(beta_left=kappa * kappa / 8.0, beta_right=kappa * kappa / 8.0,
                                    gamma_left=2.0, gamma_right=2.0, d=d_de),
@@ -157,16 +161,21 @@ def builtin(name: str, **params) -> SturmLiouvilleProblem:
 
 
 def transformed(problem: SturmLiouvilleProblem, method: str) -> TransformedProblem:
-    """The problem under its SE or DE map, ready for assembly."""
+    """The problem under its SE or DE map, ready for assembly.
+
+    The map follows from ``problem.interval_kind`` and, for "de",
+    ``problem.kappa``; a method without a declared profile is a ConfigError.
+    """
     if method == "de":
-        m, profile = problem.de_map, problem.de_profile
+        profile, kappa = problem.de_profile, problem.kappa
     elif method == "se":
-        m, profile = problem.se_map, problem.se_profile
+        profile, kappa = problem.se_profile, 1.0
     else:
         raise ValueError(f"unknown method {method!r}; expected 'se' or 'de'")
-    if m is None or profile is None:
+    if profile is None:
         raise ConfigError(f"problem {problem.name!r} declares no {method} transformation data")
-    return transform_problem(m, problem.q, problem.rho)
+    jet = map_catalog(problem.interval_kind, method.upper(), kappa)
+    return transform_problem(jet, problem.q, problem.rho)
 
 
 _INTERVALS = {"unit": "unit", "halfline": "half_line", "realline": "real_line"}
@@ -231,7 +240,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
         except ExpressionError as exc:
             raise ConfigError(f"expression {key!r} references an undeclared name: {exc}") from None
 
-    kappa = fields.get("kappa", 1.0)
     de_keys = ("beta_l", "beta_r", "gamma_l", "gamma_r")
     have_de = all(k in fields for k in de_keys)
     have_se = "alpha_se" in fields and "rho_decay_se" in fields
@@ -242,8 +250,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
         raise ConfigError("map = se requires alpha_se and rho_decay_se")
 
     try:
-        de_map = map_catalog(interval_kind, "DE", kappa=kappa) if have_de else None
-        se_map = map_catalog(interval_kind, "SE") if have_se else None
         de_profile = DecayProfile.de(
             beta_left=fields["beta_l"], beta_right=fields["beta_r"],
             gamma_left=fields["gamma_l"], gamma_right=fields["gamma_r"],
@@ -252,21 +258,19 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
         se_profile = DecayProfile.se(
             alpha=fields["alpha_se"], rho_decay=fields["rho_decay_se"], d=fields["d"],
         ) if have_se else None
+        return SturmLiouvilleProblem(
+            name=fields.get("name", "custom"),
+            interval_kind=interval_kind,
+            q=compiled["q"],
+            rho=compiled["rho"],
+            params=params,
+            kappa=fields.get("kappa", 1.0),
+            de_profile=de_profile,
+            se_profile=se_profile,
+            reference=None,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return SturmLiouvilleProblem(
-        name=fields.get("name", "custom"),
-        interval_kind=interval_kind,
-        q=compiled["q"],
-        rho=compiled["rho"],
-        params=params,
-        de_map=de_map,
-        se_map=se_map,
-        de_profile=de_profile,
-        se_profile=se_profile,
-        reference=None,
-    )
 
 
 def _scalar(value: str, key: str, lineno: int) -> float:

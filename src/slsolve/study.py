@@ -131,10 +131,10 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
     """
     ns = list(n_range)
     series = {}
-    if problem.se_profile is not None and problem.se_map is not None:
+    if problem.se_profile is not None:
         series["se"] = convergence_study(problem, "se", ns, (eig_index,))
     profile = problem.de_profile
-    if profile is not None and problem.de_map is not None:
+    if profile is not None:
         series["de"] = convergence_study(problem, "de", ns, (eig_index,))
         if (profile.beta_left != profile.beta_right
                 or profile.gamma_left != profile.gamma_right):

@@ -55,6 +55,11 @@ def singular_rho(x):
     return 1.0 / (x * x + np.cos(x))
 
 
-def singular_lambda1(L=8.0):
-    """Lowest eigenvalue of the builtin ``singular`` problem, by shooting."""
-    return eigenvalue(singular_q, singular_rho, (0.5, 0.9), L)
+# The Wronskian changes sign across each bracket, and each holds one
+# eigenvalue: the fourth is near 15.
+SINGULAR_BRACKETS = ((0.5, 0.9), (4.5, 5.5), (8.8, 9.7))
+
+
+def singular_eigenvalues(L=8.0):
+    """The three lowest eigenvalues of the builtin ``singular`` problem, by shooting."""
+    return [eigenvalue(singular_q, singular_rho, bracket, L) for bracket in SINGULAR_BRACKETS]

@@ -101,13 +101,29 @@ def test_directory_as_problem_is_config_error(tmp_path, capsys):
     assert "configuration error: cannot read config file" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_config_error(tmp_path, capsys):
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
+    def study(*args, **kwargs):
+        raise AssertionError("the study ran before the output was opened")
+
+    monkeypatch.setattr("slsolve.cli.convergence_study", study)
     out = tmp_path / "no-such-dir" / "x.csv"
     code = main(["--problem", "bessel", "--method", "de",
                  "--n-min", "2", "--n-max", "3", "--output", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and str(out) in err
+
+
+@pytest.mark.parametrize("flags", [["--compare", "--method", "se"], ["--method", "se", "--balanced"],
+                                   ["--compare", "--balanced"]],
+                         ids=["compare-method", "se-balanced", "compare-balanced"])
+def test_ignored_flag_combination_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    code = main(["--problem", "bessel", *flags, "--n-min", "2", "--n-max", "5",
+                 "--output", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_builtin_parameter_is_config_error(tmp_path):

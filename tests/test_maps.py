@@ -19,7 +19,7 @@ ALL_MAPS = [
 
 def derivative(m, order):
     # t -> the order-th derivative of the map, on a float array of t
-    return lambda t: m.jet(np.asarray(t, dtype=float))[order]
+    return lambda t: m(np.asarray(t, dtype=float))[order]
 
 
 def central(f, t, e):
@@ -51,7 +51,7 @@ def test_catalog_rejects_bad_arguments():
 
 def test_identity_map_values():
     m = map_catalog("real_line", "SE")
-    phi, dphi, d2phi, _ = m.jet(np.array([2.0]))
+    phi, dphi, d2phi, _ = m(np.array([2.0]))
     assert phi[0] == 2.0
     assert dphi[0] == 1.0
     assert d2phi[0] == 0.0
@@ -59,13 +59,13 @@ def test_identity_map_values():
 
 def test_unit_de_midpoint():
     m = map_catalog("unit", "DE")
-    assert m.jet(np.array([0.0]))[0][0] == pytest.approx(0.5, abs=1e-16)
+    assert m(np.array([0.0]))[0][0] == pytest.approx(0.5, abs=1e-16)
 
 
 def test_scaled_sinh_value():
     kappa = math.sqrt(0.2)
     m = map_catalog("real_line", "DE", kappa=kappa)
-    phi = m.jet(np.array([1.0]))[0][0]
+    phi = m(np.array([1.0]))[0][0]
     assert phi == pytest.approx(kappa * math.sinh(1.0), rel=1e-15)
     assert phi == pytest.approx(0.5255659512452867, abs=1e-15)
 
@@ -93,7 +93,7 @@ def test_jet_matches_mpmath_derivatives(interval, decay, kappa):
     m = map_catalog(interval, decay, kappa=kappa)
     t = np.linspace(-6.0, 6.0, 97)
     with np.errstate(all="ignore"):
-        jet = np.array(np.broadcast_arrays(*m.jet(t)))
+        jet = np.array(np.broadcast_arrays(*m(t)))
     outer = _MP_SE_MAPS[interval]
     phi = outer if decay == "SE" else (lambda u: outer(mpmath.mpf(kappa) * mpmath.sinh(u)))
     with mpmath.workdps(40):
@@ -127,7 +127,7 @@ def test_half_line_de_asymptote_region_is_smooth():
     # crossing sinh(t) = 30 must not kink phi or its derivatives
     m = map_catalog("half_line", "DE")
     t_star = math.asinh(30.0)
-    (below, above, mid), (dbelow, dabove, dmid) = m.jet(
+    (below, above, mid), (dbelow, dabove, dmid) = m(
         np.array([t_star - 1e-7, t_star + 1e-7, t_star]))[:2]
     assert above - below == pytest.approx(2e-7 * dmid, rel=1e-3)
     assert dabove == pytest.approx(dbelow, rel=1e-6)

@@ -85,20 +85,26 @@ def test_mesh_size_decreases_in_n():
 
 
 def test_mirror_swap():
-    swapped = DecayProfile.de(
-        beta_left=BESSEL7.beta_right, beta_right=BESSEL7.beta_left,
-        gamma_left=BESSEL7.gamma_right, gamma_right=BESSEL7.gamma_left, d=BESSEL7.d,
-    )
-    for n in (2, 9, 21):
-        a = de_mesh(BESSEL7, n)
-        b = de_mesh(swapped, n)
-        assert a.h == b.h
-        assert a.M == b.N == n
-        # ceiling (left-governed) vs floor (right-governed) may differ by one
-        assert a.N - 1 <= b.M <= a.N
-        inner = n * (1.0 + math.log(14.0) / lambert_w0(math.pi * BESSEL7.d * n / 7.0))
-        assert a.N == math.ceil(inner)
-        assert b.M == math.floor(inner)
+    def swap(p):
+        return DecayProfile.de(beta_left=p.beta_right, beta_right=p.beta_left,
+                               gamma_left=p.gamma_right, gamma_right=p.gamma_left, d=p.d)
+
+    # Left-governed profiles: Bessel by the larger beta on equal gammas,
+    # swapped Laguerre by the larger gamma.
+    for left in (BESSEL7, swap(LAGUERRE3)):
+        right = swap(left)
+        gamma, beta = left.gamma_left, left.beta_left
+        for n in (2, 9, 21):
+            a = de_mesh(left, n)
+            b = de_mesh(right, n)
+            assert a.h == b.h
+            assert a.M == b.N == n
+            # ceiling (left-governed) vs floor (right-governed) may differ by one
+            assert a.N - 1 <= b.M <= a.N
+            w = lambert_w0(math.pi * left.d * gamma * n / beta)
+            inner = gamma / left.gamma_right * n * (1.0 + math.log(beta / left.beta_right) / w)
+            assert a.N == max(math.ceil(inner), 0)
+            assert b.M == max(math.floor(inner), 0)
 
 
 def test_dependent_index_clamps_at_zero():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import (ConfigError, assemble, bessel_zero, builtin, de_mesh,
-                     parse_problem_config, reference_eigenvalue,
-                     solve_generalized, transformed)
+from slsolve import (ConfigError, DecayProfile, SturmLiouvilleProblem, assemble,
+                     bessel_zero, builtin, de_mesh, parse_problem_config,
+                     reference_eigenvalue, solve_generalized, transformed)
 
 
 def bessel_series(n, x, terms=80):
@@ -76,7 +76,7 @@ def test_builtin_laguerre_coefficients():
 def test_builtin_singular_coefficients():
     p = builtin("singular")
     assert p.rho(0.0) == 1.0
-    assert p.params["kappa"] == pytest.approx(math.sqrt(0.2))
+    assert p.kappa == pytest.approx(math.sqrt(0.2))
     assert p.de_profile.d == pytest.approx(math.pi / 4.0)
     assert p.de_profile.beta_left == pytest.approx(0.2 / 8.0)
     plain = builtin("singular", kappa=1.0)
@@ -96,6 +96,23 @@ def test_builtin_parameter_validation():
         builtin("airy")
     with pytest.raises(ValueError):
         builtin("bessel", alpha=1.0)
+
+
+def test_de_profile_needs_a_catalog_map():
+    def problem(interval_kind, kappa, **profiles):
+        return SturmLiouvilleProblem(name="p", interval_kind=interval_kind, q=lambda x: 0.0,
+                                     rho=lambda x: 1.0, kappa=kappa, **profiles)
+
+    de = DecayProfile.de(beta_left=1.0, beta_right=1.0, gamma_left=1.0, gamma_right=1.0, d=1.0)
+    for interval_kind, kappa, message in (("unit", 0.5, "kappa"), ("half_line", 2.0, "kappa"),
+                                          ("real_line", 0.0, "kappa"),
+                                          ("circle", 1.0, "interval kind")):
+        with pytest.raises(ValueError, match=message):
+            problem(interval_kind, kappa, de_profile=de)
+    assert problem("real_line", 0.5, de_profile=de).kappa == 0.5
+    # an SE-only problem is accepted: kappa is read only by the DE map
+    se = DecayProfile.se(alpha=1.0, rho_decay=1.0, d=1.0)
+    assert problem("unit", 0.5, se_profile=se).de_profile is None
 
 
 def test_reference_eigenvalues():
