@@ -106,7 +106,7 @@ def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
     failure ahead of a weight failure at the same k.
     """
     h = mesh.h
-    t = np.arange(-mesh.M, mesh.N + 1) * h
+    t = np.arange(-mesh.M, mesh.N + 1, dtype=float) * h
     failures = []
     try:
         qvals = tp.qtilde(t)
@@ -130,7 +130,7 @@ def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
 
 def _solve_congruence(A, w, compute_vectors, count):
     d = np.sqrt(w)
-    B = A / np.outer(d, d)
+    B = A / (d[:, None] * d)
     try:
         if not compute_vectors:
             return Spectrum(eigenvalues=np.linalg.eigvalsh(B)[:count])
@@ -149,7 +149,7 @@ def _solve_inverted(A, w, compute_vectors, count):
     # upper bound for the smallest generalized eigenvalue and is invariant
     # under (A, D^2) -> (cA, cD^2).
     with np.errstate(over="ignore"):
-        s = (np.diag(A) / w).min()
+        s = (A.diagonal() / w).min()
     if not (s > 0.0 and np.isfinite(s)):
         s = abs(np.trace(A)) / w.sum() * 1e-6 + np.finfo(float).tiny
     # theta = 1/(mu + s), ascending: the low mu are the largest theta, so
@@ -176,7 +176,7 @@ def _solve_inverted(A, w, compute_vectors, count):
     theta = theta[:m]
     # Anything below eps*max(theta) is noise from the unresolvable top of
     # the mu-spectrum; clamp so those saturate instead of reordering.
-    theta = np.clip(theta, 0.5 * np.finfo(float).eps * theta[-1], None)[::-1]
+    theta = np.maximum(theta, 0.5 * np.finfo(float).eps * theta[-1])[::-1]
     mu = 1.0 / theta - s
     if not compute_vectors:
         return Spectrum(eigenvalues=mu)
@@ -199,15 +199,20 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
         count = w.size
     elif count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    if np.any(w <= 0.0):
+    # One minimum serves the definiteness check and the grading test; the
+    # mask is built only when it fails (a NaN entry makes the minimum NaN
+    # without a nonpositive entry).  initial=inf lets an empty w through
+    # to the shape check and to w.max() below.
+    w_min = w.min(initial=np.inf)
+    if not w_min > 0.0 and (w <= 0.0).any():
         k = int(np.flatnonzero(w <= 0.0)[0])
         raise DefinitenessError("nonpositive weight entry", index=k - system.mesh.M,
                                 point=(k - system.mesh.M) * system.mesh.h)
     A = np.asarray(system.matrix, dtype=float)
     if A.shape != (w.size, w.size):
         raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
-    if not np.array_equal(A, A.T):
+    if not (A == A.T).all():
         raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
-    if w.max() <= GRADE_LIMIT * w.min():
+    if w.max() <= GRADE_LIMIT * w_min:
         return _solve_congruence(A, w, compute_vectors, count)
     return _solve_inverted(A, w, compute_vectors, count)

@@ -66,15 +66,16 @@ def _asinh_exp_jet(y):
     max(y, 0) + log1p(a + e^2 / (1 + 1/r)) is y + log(1 + 1/r) for y > 0
     and arcsinh(e) for y <= 0.
     """
+    y_pos = np.maximum(y, 0.0)
     a = np.exp(np.minimum(y, 0.0))
-    b = np.exp(-np.maximum(y, 0.0))
+    b = np.exp(-y_pos)
     g = (a * b) ** 2
     root = np.sqrt(1.0 + g)
     r = 1.0 / root
     p1 = a * r
     c = (b * r) ** 2
     p2 = p1 * c
-    value = np.maximum(y, 0.0) + np.log1p(a + g / (1.0 + root))
+    value = y_pos + np.log1p(a + g / (1.0 + root))
     return value, p1, p2, p2 * (3.0 * c - 2.0)
 
 
@@ -85,7 +86,7 @@ def _unit_se_jet(t):
 
 
 def _real_line_se_jet(t):
-    zero = np.zeros_like(t)
+    zero = np.zeros(t.shape, t.dtype)
     return t.copy(), zero + 1.0, zero, zero
 
 
@@ -96,10 +97,13 @@ def _de_jet(outer, kappa=1.0):
     """The jet of t -> outer(kappa sinh t), by the chain rule.
 
     With s = kappa sinh t and c = kappa cosh t, the derivatives are
-    f' c, f'' c^2 + f' s and (f''' c^2 + 3 f'' s + f') c.
+    f' c, f'' c^2 + f' s and (f''' c^2 + 3 f'' s + f') c.  Multiplying by
+    kappa = 1 is exact, so it is skipped.
     """
     def jet(t):
-        s, c = kappa * np.sinh(t), kappa * np.cosh(t)
+        s, c = np.sinh(t), np.cosh(t)
+        if kappa != 1.0:
+            s, c = kappa * s, kappa * c
         f0, f1, f2, f3 = outer(s)
         c2 = c * c
         return f0, f1 * c, f2 * c2 + f1 * s, (f3 * c2 + 3.0 * f2 * s + f1) * c

@@ -190,6 +190,7 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     map (se|de), kappa, d, beta_l, beta_r, gamma_l, gamma_r, alpha_se,
     rho_decay_se, and repeatable ``param <name> = <value>`` declarations
     usable inside the q/rho expressions.  ``#`` starts a comment.
+    ``kappa`` scales the DE map, so it needs all four DE decay constants.
     """
     fields = {}
     exprs = {}
@@ -240,14 +241,15 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
         except ExpressionError as exc:
             raise ConfigError(f"expression {key!r} references an undeclared name: {exc}") from None
 
-    de_keys = ("beta_l", "beta_r", "gamma_l", "gamma_r")
-    have_de = all(k in fields for k in de_keys)
+    missing_de = [k for k in ("beta_l", "beta_r", "gamma_l", "gamma_r") if k not in fields]
+    have_de = not missing_de
     have_se = "alpha_se" in fields and "rho_decay_se" in fields
     if declared_map == "de" and not have_de:
-        missing = [k for k in de_keys if k not in fields]
-        raise ConfigError(f"map = de requires decay constants {missing}")
+        raise ConfigError(f"map = de requires decay constants {missing_de}")
     if declared_map == "se" and not have_se:
         raise ConfigError("map = se requires alpha_se and rho_decay_se")
+    if "kappa" in fields and not have_de:
+        raise ConfigError(f"kappa scales only the DE map, which requires decay constants {missing_de}")
 
     try:
         de_profile = DecayProfile.de(

@@ -130,22 +130,25 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
     * "de-adapted" for an optional rescaled-map companion problem.
     """
     ns = list(n_range)
-    series = {}
+    # (label, problem, method, balanced) of each applicable series, all
+    # known before any of them runs.
+    runs = []
     if problem.se_profile is not None:
-        series["se"] = convergence_study(problem, "se", ns, (eig_index,))
+        runs.append(("se", problem, "se", False))
     profile = problem.de_profile
     if profile is not None:
-        series["de"] = convergence_study(problem, "de", ns, (eig_index,))
+        runs.append(("de", problem, "de", False))
         if (profile.beta_left != profile.beta_right
                 or profile.gamma_left != profile.gamma_right):
-            series["de-balanced"] = convergence_study(problem, "de", ns, (eig_index,), balanced=True)
+            runs.append(("de-balanced", problem, "de", True))
     if adapted is not None:
-        series["de-adapted"] = convergence_study(adapted, "de", ns, (eig_index,))
-    if len(series) < 2:
+        runs.append(("de-adapted", adapted, "de", False))
+    if len(runs) < 2:
         raise ValueError(
             f"problem {problem.name!r} declares only one method; nothing to compare"
         )
-    return series
+    return {label: convergence_study(p, method, ns, (eig_index,), balanced=balanced)
+            for label, p, method, balanced in runs}
 
 
 def singular_comparison(n_range: Iterable[int], eig_index: int = 1) -> dict:

@@ -234,6 +234,25 @@ def test_count_on_ungraded_pencils_is_a_slice_of_the_full_solve():
     assert seen >= 20
 
 
+def test_congruence_route_rounds_like_the_outer_product():
+    # The ungraded route divides A by the products d_j d_k of d = sqrt(w):
+    # pin its eigenvalues bit for bit to the plain numpy expression.
+    seen = 0
+    for problem in (builtin("bessel"), builtin("laguerre"), builtin("singular")):
+        tp = transformed(problem, "de")
+        for n in (3, 5, 9, 14):
+            system = assemble(tp, _level_mesh(problem, "de", n))
+            if _is_graded(system):
+                continue
+            seen += 1
+            d = np.sqrt(system.weights)
+            reference = np.linalg.eigvalsh(system.matrix / np.outer(d, d))
+            for k in (1, 3):
+                low = solve_generalized(system, count=k).eigenvalues
+                assert np.array_equal(low, reference[:k])
+    assert seen >= 8
+
+
 @pytest.mark.parametrize("name", ["bessel", "laguerre"])
 def test_count_on_graded_pencils_matches_the_full_solve(name):
     problem = builtin(name)

@@ -252,17 +252,27 @@ def test_config_kappa_restricted_to_real_line():
         parse_problem_config(bad)
 
 
+CONFIG_GAUSSIAN_WELL = """
+name = gaussian-well
+interval = realline
+map = se
+q = x^2
+rho = 1
+d = 0.5
+alpha_se = 0.5
+rho_decay_se = 2
+"""
+
+
+def test_config_kappa_needs_de_constants():
+    # The SE map never reads kappa, so a kappa without the DE constants
+    # would otherwise be accepted and ignored, whatever its value.
+    with pytest.raises(ConfigError, match="kappa") as info:
+        parse_problem_config(CONFIG_GAUSSIAN_WELL + "kappa = -1\n")
+    assert "beta_l" in str(info.value)
+
+
 def test_config_se_problem():
-    text = """
-    name = gaussian-well
-    interval = realline
-    map = se
-    q = x^2
-    rho = 1
-    d = 0.5
-    alpha_se = 0.5
-    rho_decay_se = 2
-    """
-    p = parse_problem_config(text)
+    p = parse_problem_config(CONFIG_GAUSSIAN_WELL)
     assert p.se_profile is not None and p.de_profile is None
     assert p.q(2.0) == 4.0

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from slsolve import (InsufficientDataError, StudyError, StudyRecord, builtin,
-                     compare_methods, convergence_study, emit_csv, rate_fit,
-                     read_csv, singular_comparison)
+                     compare_methods, convergence_study, emit_csv, parse_problem_config,
+                     rate_fit, read_csv, singular_comparison)
 from slsolve import study
 from slsolve.study import CSV_HEADER
 
@@ -85,6 +85,19 @@ def test_builtin_de_error_decays_overall(name, params):
     records = convergence_study(builtin(name, **params), "de", range(2, 41))
     errors = [r.error() for r in records if r.error() is not None]
     assert min(errors) <= errors[0]
+
+
+def test_compare_methods_rejects_one_method_before_any_solve(monkeypatch):
+    def no_study(*args, **kwargs):
+        raise AssertionError("no series may run before the methods are counted")
+
+    monkeypatch.setattr(study, "convergence_study", no_study)
+    # Whole-line x^2 with one DE profile, equal tails: one series only.
+    problem = parse_problem_config(
+        "interval = realline\nmap = de\nq = x^2\nrho = 1\nd = 0.7853981633974483\n"
+        "beta_l = 0.125\nbeta_r = 0.125\ngamma_l = 2\ngamma_r = 2\n")
+    with pytest.raises(ValueError, match="declares only one method"):
+        compare_methods(problem, range(2, 80))
 
 
 def test_singular_comparison_series():
