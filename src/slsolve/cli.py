@@ -76,13 +76,13 @@ def _load_problem(args):
     return parse_problem_config(text)
 
 
-def _report_fit(label, records, out):
+def _report_fit(label, records):
     try:
         kappa_hat, r_squared = rate_fit(records)
     except InsufficientDataError as exc:
         print(f"rate-fit {label}: {exc}", file=sys.stderr)
         return
-    print(f"rate-fit {label}: kappa_hat={kappa_hat:.6g} r_squared={r_squared:.4f}", file=out)
+    print(f"rate-fit {label}: kappa_hat={kappa_hat:.6g} r_squared={r_squared:.4f}")
 
 
 def main(argv=None) -> int:
@@ -109,12 +109,12 @@ def main(argv=None) -> int:
                 records = [r for recs in series.values() for r in recs]
                 if args.rate_fit:
                     for label, recs in series.items():
-                        _report_fit(label, recs, sys.stdout)
+                        _report_fit(label, recs)
             else:
                 records = convergence_study(problem, args.method, ns,
                                             (args.eig_index,), balanced=args.balanced)
                 if args.rate_fit:
-                    _report_fit(args.method, records, sys.stdout)
+                    _report_fit(args.method, records)
             emit_csv(records, handle)
         print(f"wrote {len(records)} records to {args.output}")
         return 0

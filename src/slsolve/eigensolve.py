@@ -70,7 +70,7 @@ class AssemblyError(RuntimeError):
 
 
 class DefinitenessError(AssemblyError):
-    """A weight entry came out nonpositive, so D^2 is not positive definite."""
+    """A weight entry is nonpositive or not finite, so D^2 is not positive definite."""
 
 
 class SolverError(RuntimeError):
@@ -199,20 +199,21 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
         count = w.size
     elif count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    # One minimum serves the definiteness check and the grading test; the
-    # mask is built only when it fails (a NaN entry makes the minimum NaN
-    # without a nonpositive entry).  initial=inf lets an empty w through
-    # to the shape check and to w.max() below.
+    # One minimum and one maximum serve the weight checks and the grading
+    # test; the mask is built only when they fail (a NaN entry makes both
+    # NaN).  The initial values let an empty w through to the shape check.
     w_min = w.min(initial=np.inf)
-    if not w_min > 0.0 and (w <= 0.0).any():
-        k = int(np.flatnonzero(w <= 0.0)[0])
-        raise DefinitenessError("nonpositive weight entry", index=k - system.mesh.M,
+    w_max = w.max(initial=-np.inf)
+    if not (w_min > 0.0 and w_max < np.inf):
+        k = int(np.flatnonzero(~((w > 0.0) & (w < np.inf)))[0])
+        kind = "nonpositive" if w[k] <= 0.0 else "non-finite"
+        raise DefinitenessError(f"{kind} weight entry", index=k - system.mesh.M,
                                 point=(k - system.mesh.M) * system.mesh.h)
     A = np.asarray(system.matrix, dtype=float)
     if A.shape != (w.size, w.size):
         raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
     if not (A == A.T).all():
         raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
-    if w.max() <= GRADE_LIMIT * w_min:
+    if w_max <= GRADE_LIMIT * w_min:
         return _solve_congruence(A, w, compute_vectors, count)
     return _solve_inverted(A, w, compute_vectors, count)

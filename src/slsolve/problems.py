@@ -1,7 +1,7 @@
 """Built-in eigenvalue problems, reference values, and config ingestion."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -46,7 +46,6 @@ class SturmLiouvilleProblem:
     interval_kind: str
     q: Callable
     rho: Callable
-    params: dict = field(default_factory=dict)
     kappa: float = 1.0
     de_profile: Optional[DecayProfile] = None
     se_profile: Optional[DecayProfile] = None
@@ -84,7 +83,6 @@ def _bessel(n: int = 7) -> SturmLiouvilleProblem:
         interval_kind="unit",
         q=lambda x: coeff / (x * x),
         rho=lambda x: 1.0,
-        params={"n": n},
         # Transformed tails: exp(-n e^|t|) on the left, exp(-e^t / 2) on the right.
         de_profile=DecayProfile.de(beta_left=float(n), beta_right=0.5,
                                    gamma_left=1.0, gamma_right=1.0, d=math.pi / 2.0),
@@ -104,7 +102,6 @@ def _laguerre(alpha: float = 3.0) -> SturmLiouvilleProblem:
         interval_kind="half_line",
         q=lambda x: (alpha * alpha - 0.25) / (x * x) - (alpha + 1.0) / 2.0 + x * x / 16.0,
         rho=lambda x: 1.0,
-        params={"alpha": alpha},
         # Tails exp(-(alpha/2) e^|t|) left and exp(-e^(2t)/32) right.
         de_profile=DecayProfile.de(beta_left=alpha / 2.0, beta_right=1.0 / 32.0,
                                    gamma_left=1.0, gamma_right=2.0, d=math.pi / 4.0),
@@ -265,7 +262,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
             interval_kind=interval_kind,
             q=compiled["q"],
             rho=compiled["rho"],
-            params=params,
             kappa=fields.get("kappa", 1.0),
             de_profile=de_profile,
             se_profile=se_profile,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .eigensolve import assemble, solve_generalized
 from .meshing import de_mesh, de_mesh_symmetric, se_mesh
-from .problems import SturmLiouvilleProblem, builtin, reference_eigenvalue, transformed
+from .problems import SturmLiouvilleProblem, reference_eigenvalue, transformed
 
 # Errors at or below this, relative to max(1, |mu|), are double-precision
 # plateau noise and carry no rate information.
@@ -151,12 +151,6 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
             for label, p, method, balanced in runs}
 
 
-def singular_comparison(n_range: Iterable[int], eig_index: int = 1) -> dict:
-    """SE vs plain DE vs rescaled-map DE for the built-in singular problem."""
-    return compare_methods(builtin("singular", kappa=1.0), n_range, eig_index,
-                           adapted=builtin("singular"))
-
-
 def rate_fit(records: Sequence[StudyRecord]):
     """Least-squares slope of log(error) against n / log(n).
 
@@ -197,16 +191,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit_csv(records: Sequence[StudyRecord], destination) -> None:
-    """Write records in input order; floats carry 17 significant digits."""
-    if hasattr(destination, "write"):
-        _write_csv(records, destination)
-        return
-    with open(destination, "w", newline="") as handle:
-        _write_csv(records, handle)
+def emit_csv(records: Sequence[StudyRecord], handle) -> None:
+    """Write records in input order to an open text handle.
 
-
-def _write_csv(records, handle):
+    Floats carry 17 significant digits, so every field reads back exactly.
+    Open a file with ``newline=""``: the csv module writes its own line ends.
+    """
     writer = csv.writer(handle)
     writer.writerow(CSV_HEADER)
     for r in records:
@@ -215,24 +205,3 @@ def _write_csv(records, handle):
             r.eig_index, _format_value(r.mu), _format_value(r.abs_error),
             _format_value(r.succ_error), _format_value(r.runtime_ms),
         ])
-
-
-def read_csv(source) -> list:
-    """Inverse of emit_csv; empty optional fields come back as None."""
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, newline="") as handle:
-            rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValueError(f"unrecognized CSV header: {rows[0] if rows else 'empty file'}")
-    records = []
-    for row in rows[1:]:
-        records.append(StudyRecord(
-            method=row[0], problem=row[1], n=int(row[2]), M=int(row[3]), N=int(row[4]),
-            h=float(row[5]), size=int(row[6]), eig_index=int(row[7]), mu=float(row[8]),
-            abs_error=float(row[9]) if row[9] else None,
-            succ_error=float(row[10]) if row[10] else None,
-            runtime_ms=float(row[11]),
-        ))
-    return records

@@ -12,8 +12,8 @@ import pytest
 
 from slsolve import (GeneralizedSystem, MeshConfig, assemble, builtin,
                      convergence_study, compare_methods, de_mesh, diff_matrix,
-                     lambert_w0, rate_fit,
-                     singular_comparison, solve_generalized, transformed)
+                     rate_fit, solve_generalized, transformed)
+from slsolve.meshing import lambert_w0
 
 BESSEL_LAMBDA_1 = 122.9076002036162
 SINGULAR_QUOTED_LAMBDA_1 = 0.690894228848
@@ -111,6 +111,13 @@ def _error_at_common_size(series):
     return common, picked
 
 
+def _singular_comparison():
+    # SE and plain DE on the kappa = 1 map against DE on the adapted map,
+    # as the CLI compares them.
+    return compare_methods(builtin("singular", kappa=1.0), range(2, 41),
+                           adapted=builtin("singular"))
+
+
 def test_criterion_4_method_ordering():
     lines = []
     ok = True
@@ -126,7 +133,7 @@ def test_criterion_4_method_ordering():
         lines.append(f"{name} @ size {common}: se = {err['se']:.2e}, "
                      f"de = {err['de']:.2e}, de-balanced = {err['de-balanced']:.2e}")
 
-    series = singular_comparison(range(2, 41))
+    series = _singular_comparison()
     common, err = _error_at_common_size(series)
     ok &= err["de-adapted"] < err["se"]
     ok &= err["de"] < err["se"]
@@ -141,7 +148,7 @@ def test_criterion_4_method_ordering():
         _, err = _error_at_common_size(series)
         assert err["de-balanced"] < err["se"]
         assert err["de-balanced"] <= err["de"]
-    series = singular_comparison(range(2, 41))
+    series = _singular_comparison()
     _, err = _error_at_common_size(series)
     assert err["de-adapted"] < err["se"]
     assert err["de"] < err["se"]
@@ -180,8 +187,7 @@ def test_criterion_6a_diff_matrix_oracle():
     worst = 0.0
 
     def basis(j, x):
-        from slsolve import sinc_basis
-        return sinc_basis(j, h, x)
+        return np.sinc((x - j * h) / h)
 
     for row, j in enumerate(range(-M, N + 1)):
         for col, k in enumerate(range(-M, N + 1)):

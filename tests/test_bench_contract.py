@@ -1,17 +1,20 @@
-"""The names the benchmark's tracer patches and reads still exist and are hit.
+"""The names the benchmark's tracer patches and reads still exist and are hit,
+and every package name its workloads call still exists.
 
 ``bench/tracing.py`` records per-layer spans by wrapping names inside the
 package; a rename there breaks traced benchmark runs without breaking any
 library test.  This runs its ``install`` around one short study.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 from slsolve import builtin
 from slsolve import study
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 SPANS = ("problems.transform", "problems.q_rho", "maps.coeff", "meshing.mesh",
          "eigensolve.assemble", "sinc.diff_matrix", "eigensolve.solve")
@@ -37,3 +40,17 @@ def test_traced_study_records_every_layer_span():
     assert tracer.count["maps.points"] == 4
     # undone: the package's own functions are back in place
     assert not hasattr(study.assemble, "__wrapped__")
+
+
+def test_workload_calls_exist():
+    # The benchmark's passes call module attributes such as study.emit_csv;
+    # its smoke test is too slow for this suite, so check the names here.
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = ("eigensolve", "meshing", "problems", "study")
+    names = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert {module for module, _ in names} == set(modules)
+    missing = [f"{module}.{attr}" for module, attr in sorted(names)
+               if not hasattr(importlib.import_module("slsolve." + module), attr)]
+    assert missing == []

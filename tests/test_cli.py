@@ -1,9 +1,15 @@
+import csv
 import math
 
 import pytest
 
-from slsolve import read_csv
 from slsolve.cli import main
+
+
+def read_rows(path):
+    """The CLI's CSV as one dict of strings per record."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def test_single_study(tmp_path, capsys):
@@ -12,10 +18,10 @@ def test_single_study(tmp_path, capsys):
                  "--balanced", "--n-min", "2", "--n-max", "12",
                  "--output", str(out)])
     assert code == 0
-    records = read_csv(out)
-    assert len(records) == 11
-    assert all(r.method == "de" and r.problem == "bessel" for r in records)
-    assert min(r.abs_error for r in records) < 1e-9
+    rows = read_rows(out)
+    assert len(rows) == 11
+    assert all(r["method"] == "de" and r["problem"] == "bessel" for r in rows)
+    assert min(float(r["abs_error"]) for r in rows) < 1e-9
 
 
 def test_compare_mode(tmp_path):
@@ -23,10 +29,10 @@ def test_compare_mode(tmp_path):
     code = main(["--problem", "laguerre", "--param", "alpha=3", "--compare",
                  "--n-min", "2", "--n-max", "8", "--output", str(out)])
     assert code == 0
-    records = read_csv(out)
-    assert {r.method for r in records} == {"se", "de"}
+    rows = read_rows(out)
+    assert {r["method"] for r in rows} == {"se", "de"}
     # symmetric and balanced DE series both present
-    de_sizes = {(r.M == r.N) for r in records if r.method == "de"}
+    de_sizes = {(r["M"] == r["N"]) for r in rows if r["method"] == "de"}
     assert de_sizes == {True, False}
 
 
@@ -35,7 +41,7 @@ def test_singular_compare_includes_adapted(tmp_path):
     code = main(["--problem", "singular", "--compare",
                  "--n-min", "3", "--n-max", "8", "--output", str(out)])
     assert code == 0
-    names = {r.problem for r in read_csv(out)}
+    names = {r["problem"] for r in read_rows(out)}
     assert names == {"singular", "singular-adapted"}
 
 
@@ -75,10 +81,10 @@ def test_config_file_problem(tmp_path):
     code = main(["--problem", str(config), "--method", "de",
                  "--n-min", "3", "--n-max", "10", "--output", str(out)])
     assert code == 0
-    records = read_csv(out)
-    assert all(r.problem == "demo" for r in records)
+    rows = read_rows(out)
+    assert all(r["problem"] == "demo" for r in rows)
     # harmonic oscillator: successive differences shrink toward mu_1 = 1
-    assert abs(records[-1].mu - 1.0) < 1e-6
+    assert abs(float(rows[-1]["mu"]) - 1.0) < 1e-6
 
 
 def test_missing_method_is_config_error(tmp_path, capsys):
@@ -152,7 +158,7 @@ def test_kappa_flag_is_a_last_kappa_param(tmp_path, mode):
         out = tmp_path / "x.csv"
         assert main(["--problem", "singular", *flags, *mode, "--n-min", "3", "--n-max", "6",
                      "--output", str(out)]) == 0
-        return [(r.method, r.problem, r.n, r.mu) for r in read_csv(out)]
+        return [(r["method"], r["problem"], r["n"], r["mu"]) for r in read_rows(out)]
 
     assert rows("--param", "kappa=0.5", "--kappa", "1") == rows("--param", "kappa=1")
 

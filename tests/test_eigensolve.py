@@ -132,6 +132,30 @@ def test_generalized_rejects_nonpositive_weight():
         solve_generalized(GeneralizedSystem(np.eye(3), np.array([1.0, 0.0, 1.0]), mesh))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kwargs", [{}, {"count": 1}, {"compute_vectors": True}],
+                         ids=["whole", "count1", "vectors"])
+def test_generalized_rejects_non_finite_weight(bad, kwargs):
+    mesh = MeshConfig(h=0.5, M=1, N=1)
+    A = np.diag([1.0, 2.0, 3.0]) + 0.1
+    w = np.array([1.0, bad, 2.0])
+    with pytest.raises(DefinitenessError, match="non-finite weight entry") as info:
+        solve_generalized(GeneralizedSystem(A, w, mesh), **kwargs)
+    assert (info.value.index, info.value.point) == (0, 0.0)
+
+
+def test_generalized_names_the_first_bad_weight():
+    mesh = MeshConfig(h=0.5, M=1, N=2)
+    w = np.array([1.0, -1.0, math.nan, 1.0])
+    with pytest.raises(DefinitenessError, match="nonpositive weight entry") as info:
+        solve_generalized(GeneralizedSystem(np.eye(4), w, mesh))
+    assert (info.value.index, info.value.point) == (0, 0.0)
+    w[1] = math.inf
+    with pytest.raises(DefinitenessError, match="non-finite weight entry") as info:
+        solve_generalized(GeneralizedSystem(np.eye(4), w, mesh))
+    assert (info.value.index, info.value.point) == (0, 0.0)
+
+
 def _bessel_system(n, balanced=True):
     problem = builtin("bessel", n=7)
     tp = transformed(problem, "de")

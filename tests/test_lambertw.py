@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import lambert_w0
+from slsolve.meshing import lambert_w0
 
 
 def bisect_w(target, lo, hi, tol=1e-15):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from slsolve import DecayProfile, MeshConfig, de_mesh, de_mesh_symmetric, lambert_w0, se_mesh
+from slsolve import DecayProfile, MeshConfig, de_mesh, de_mesh_symmetric, se_mesh
+from slsolve.meshing import lambert_w0
 
 
 def bisect_w(target, lo=0.0, hi=20.0, tol=5e-15):

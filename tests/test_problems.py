@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from slsolve import (ConfigError, DecayProfile, SturmLiouvilleProblem, assemble,
-                     bessel_zero, builtin, de_mesh, parse_problem_config,
+                     builtin, de_mesh, parse_problem_config,
                      reference_eigenvalue, solve_generalized, transformed)
+from slsolve.problems import bessel_zero
 
 
 def bessel_series(n, x, terms=80):

@@ -1,11 +1,13 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and what it states about them holds."""
 
+import importlib
 import shlex
 from pathlib import Path
 
 import pytest
 
-from slsolve import parse_problem_config
+import slsolve
+from slsolve import convergence_study, parse_problem_config
 from slsolve.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -36,8 +38,32 @@ def test_config_file_example():
     assert problem.de_profile is not None and problem.se_profile is not None
 
 
+@pytest.mark.parametrize("balanced", [False, True], ids=["de", "de-balanced"])
+def test_config_file_example_closed_form(balanced):
+    # q = (a^2-1/4)/x^2 + x^2/16 is the Laguerre operator without its
+    # constant -(a+1)/2, so lambda_k = k - 1 + (a+1)/2: 1.75, 2.75, 3.75.
+    text = block("### Problem config files")
+    assert "param a = 2.5" in text
+    records = convergence_study(parse_problem_config(text), "de", [40], (1, 2, 3),
+                                balanced=balanced)
+    assert [r.eig_index for r in records] == [1, 2, 3]
+    for r in records:
+        assert abs(r.mu - (r.eig_index - 1 + 3.5 / 2)) <= 1e-12
+
+
 def test_library_example(capsys):
     code = block("## Library", "python")
     expected = next(line for line in code.splitlines() if line.startswith("print("))
     exec(code, {})
     assert capsys.readouterr().out.strip() == expected.split("#", 1)[1].strip()
+
+
+def test_library_names_are_the_exports():
+    # The README's table of exports, by layer, is slsolve.__all__ exactly.
+    table = README.split("\n| layer | names |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {(layer.strip(" `"), name.strip(" `"))
+              for _, layer, names, _ in (line.split("|") for line in table.splitlines()[1:])
+              for name in names.split(",")}
+    assert {name for _, name in listed} == set(slsolve.__all__)
+    assert [name for layer, name in sorted(listed)
+            if not hasattr(importlib.import_module("slsolve." + layer), name)] == []

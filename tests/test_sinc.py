@@ -1,56 +1,31 @@
 import importlib
-import math
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from slsolve import diff_matrix, sinc, sinc_basis
+from slsolve import diff_matrix
+
+
+def basis(j, h, x):
+    # the basis element centred at j*h, independent of the package
+    return np.sinc((x - j * h) / h)
 
 
 def d2_basis_fd(j, h, x, step=1e-2):
     # fourth-order central stencil for h^2 * S(j,h)''(x)
-    vals = [sinc_basis(j, h, x + k * step) for k in (-2, -1, 0, 1, 2)]
+    vals = [basis(j, h, x + k * step) for k in (-2, -1, 0, 1, 2)]
     second = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * step**2)
     return h * h * second
 
 
-def test_sinc_point_values():
-    assert sinc(0.0) == 1.0
-    assert sinc(1.0) == pytest.approx(0.0, abs=1e-16)
-    assert sinc(0.5) == pytest.approx(0.6366197723675814, abs=1e-16)
-
-
-def test_sinc_bounded():
-    zs = np.linspace(-40.0, 40.0, 5001)
-    assert all(abs(sinc(float(z))) <= 1.0 for z in zs)
-
-
-def test_sinc_series_branch_is_smooth():
-    # direct formula and series branch agree around the cutoff
-    for z in (9.9e-5, 1.01e-4, -9.9e-5, 1e-7, 0.0):
-        w = math.pi * z
-        direct = math.sin(w) / w if z != 0 else 1.0
-        assert sinc(z) == pytest.approx(direct, rel=1e-15)
-
-
-def test_sinc_rejects_non_finite():
-    with pytest.raises(ValueError):
-        sinc(float("inf"))
-
-
+# The oracle basis the finite-difference check differentiates: 1 at its
+# own mesh point, 0 at every other one.
 def test_basis_examples():
-    assert sinc_basis(3, 0.5, 1.5) == 1.0
-    assert sinc_basis(0, 1.0, 3.0) == pytest.approx(0.0, abs=1e-16)
-    assert sinc_basis(2, 0.5, 1.25) == pytest.approx(0.6366197723675814, abs=1e-15)
-
-
-def test_basis_rejects_bad_mesh():
-    with pytest.raises(ValueError):
-        sinc_basis(0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sinc_basis(0, -0.5, 1.0)
+    assert basis(3, 0.5, 1.5) == 1.0
+    assert basis(0, 1.0, 3.0) == pytest.approx(0.0, abs=1e-16)
+    assert basis(2, 0.5, 1.25) == pytest.approx(0.6366197723675814, abs=1e-15)
 
 
 # 0.1 is not binary-exact, so float(k * h) sits a few ulps off the true
@@ -59,13 +34,16 @@ def test_basis_rejects_bad_mesh():
 def test_discrete_orthogonality(h, tol):
     js = np.arange(-50, 51)
     for j in js:
-        row = np.array([sinc_basis(int(j), h, float(k * h)) for k in js])
+        row = np.array([basis(int(j), h, float(k * h)) for k in js])
         expected = (js == j).astype(float)
         assert np.max(np.abs(row - expected)) <= tol
 
 
-def test_diff_matrix_order0_identity():
-    np.testing.assert_array_equal(diff_matrix(0, 3, 5), np.eye(9))
+def test_diff_matrix_rejects_order0():
+    # The pencil's mass matrix is the identity in the sinc basis, so only
+    # order 2 is ever built.
+    with pytest.raises(ValueError, match="expected 2"):
+        diff_matrix(0, 3, 5)
 
 
 def test_diff_matrix_order2_entries():
@@ -96,12 +74,6 @@ def test_diff_matrix_rejects_bad_arguments():
         diff_matrix(1, 2, 2)
     with pytest.raises(ValueError):
         diff_matrix(2, -1, 2)
-
-
-def test_vectorized_sinc_matches_scalar():
-    zs = np.linspace(-5, 5, 101)
-    for z in zs:
-        assert np.sinc(z) == pytest.approx(sinc(float(z)), rel=1e-15, abs=1e-16)
 
 
 def _diff_matrix_dense(M, N):

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from slsolve import (InsufficientDataError, StudyError, StudyRecord, builtin,
                      compare_methods, convergence_study, emit_csv, parse_problem_config,
-                     rate_fit, read_csv, singular_comparison)
+                     rate_fit)
 from slsolve import study
 from slsolve.study import CSV_HEADER
 
@@ -101,7 +102,8 @@ def test_compare_methods_rejects_one_method_before_any_solve(monkeypatch):
 
 
 def test_singular_comparison_series():
-    series = singular_comparison(range(3, 9))
+    series = compare_methods(builtin("singular", kappa=1.0), range(3, 9),
+                             adapted=builtin("singular"))
     assert set(series) == {"se", "de", "de-adapted"}
     assert all(r.problem == "singular" for r in series["de"])
     assert all(r.problem == "singular-adapted" for r in series["de-adapted"])
@@ -151,13 +153,28 @@ def test_rate_fit_plateau_cut_is_relative_to_mu():
     assert r2 > 0.999
 
 
+def write_and_parse(records, path):
+    """emit_csv into a file at ``path``, read back as StudyRecords."""
+    with open(path, "w", newline="") as handle:
+        emit_csv(records, handle)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert tuple(rows[0]) == CSV_HEADER
+
+    def optional(text):
+        return float(text) if text else None
+
+    return [StudyRecord(method=row[0], problem=row[1], n=int(row[2]), M=int(row[3]),
+                        N=int(row[4]), h=float(row[5]), size=int(row[6]),
+                        eig_index=int(row[7]), mu=float(row[8]), abs_error=optional(row[9]),
+                        succ_error=optional(row[10]), runtime_ms=float(row[11]))
+            for row in rows[1:]]
+
+
 def test_csv_round_trip(tmp_path):
     records = convergence_study(builtin("singular"), "de", range(4, 12))
     records += convergence_study(builtin("laguerre", alpha=3.0), "de", range(4, 10))
-    path = tmp_path / "records.csv"
-    emit_csv(records, path)
-    back = read_csv(path)
-    assert back == records
+    assert write_and_parse(records, tmp_path / "records.csv") == records
 
 
 def test_csv_header_and_blank_optionals():
@@ -175,9 +192,8 @@ def test_csv_header_and_blank_optionals():
 
 def test_csv_empty_record_list(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path)
+    assert write_and_parse([], path) == []
     assert path.read_text().strip() == ",".join(CSV_HEADER)
-    assert read_csv(path) == []
 
 
 def test_csv_17_digit_floats(tmp_path):
@@ -185,9 +201,8 @@ def test_csv_17_digit_floats(tmp_path):
     record = StudyRecord(method="de", problem="p", n=3, M=3, N=3, h=1.0 / 3.0,
                          size=7, eig_index=1, mu=mu, abs_error=None,
                          succ_error=2.0 ** -40, runtime_ms=0.25)
-    path = tmp_path / "one.csv"
-    emit_csv([record], path)
-    back = read_csv(path)[0]
+    back = write_and_parse([record], tmp_path / "one.csv")[0]
+    assert back == record
     assert back.mu == mu
     assert back.h == 1.0 / 3.0
     assert back.succ_error == 2.0 ** -40
