@@ -7,7 +7,6 @@ Diagnostics go to stderr; the study summary and any rate fit go to stdout.
 import argparse
 import sys
 
-from .eigensolve import AssemblyError, SolverError
 from .problems import BUILTIN_NAMES, ConfigError, builtin, parse_problem_config
 from .study import (InsufficientDataError, StudyError, compare_methods,
                     convergence_study, emit_csv, rate_fit)
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
         # Opened before the study, so an unwritable destination costs nothing.
         with open(args.output, "w", newline="") as handle:
             if args.compare:
-                if args.problem == "singular":
+                if args.problem == "singular" and problem.kappa != 1.0:
                     # Compare the plain whole-line map against the requested one.
                     series = compare_methods(builtin("singular", kappa=1.0), ns,
                                              eig_index=args.eig_index, adapted=problem)
@@ -122,7 +121,7 @@ def main(argv=None) -> int:
         # OSError: the CSV destination cannot be written.
         print(f"slsolve: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StudyError, AssemblyError, SolverError) as exc:
+    except StudyError as exc:
         print(f"slsolve: solver error: {exc}", file=sys.stderr)
         return 3
 

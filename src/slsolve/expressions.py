@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the coefficient expression language.
+"""Recursive-descent compiler for the coefficient expression language.
 
 Grammar (| separates alternatives, * is repetition):
 
@@ -13,18 +13,18 @@ functions sin, cos, tan, tanh, sinh, cosh, sech, exp, log, sqrt,
 arcsinh, abs.  ``-x^2`` is rejected as ambiguous: write ``(-x)^2`` or
 ``-(x^2)``.
 
-A parsed tree is compiled once, with its parameters bound, into a
-function of x built from numpy operations; one call then evaluates a
-scalar or a whole array of x.  Compiling is where names are resolved:
-a name that is neither x nor a given parameter raises ExpressionError
-with its line and column.  Arithmetic follows numpy: where an
-expression is undefined the result is NaN or inf, not an exception.
+Each production returns the numpy function of x it denotes, so one pass
+over the tokens, with the parameters bound, yields the compiled
+expression; one call then evaluates a scalar or a whole array of x.  A
+syntax error, or a name that is neither x nor a given parameter, raises
+ExpressionError with its line and column.  Arithmetic follows numpy:
+where an expression is undefined the result is NaN or inf, not an
+exception.
 """
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -56,39 +56,6 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Name:
-    """The variable x or a parameter reference."""
-    name: str
-    line: int = 1
-    column: int = 1
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Union[Num, Name, Neg, Bin, Call]
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -101,27 +68,32 @@ def _tokenize(text: str, line: int):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             col = len(text) - len(stripped) + 1
             raise ExpressionError(f"unexpected character {stripped[0]!r}", line, col)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num") + 1))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup) + 1))
         pos = m.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
+def _constant(value):
+    return lambda x: value
+
+
+def _binary(symbol, left, right):
+    op = _OPERATORS[symbol]
+    return lambda x: op(left(x), right(x))
+
+
 class _Parser:
-    def __init__(self, tokens, line):
+    def __init__(self, tokens, line, params):
         self.tokens = tokens
         self.line = line
+        self.params = params
         self.pos = 0
 
     def peek(self):
@@ -132,116 +104,79 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ExpressionError(message, self.line, tok[2])
+    def fail(self, message, column=None):
+        raise ExpressionError(message, self.line, column or self.peek()[2])
 
     def expect_op(self, op):
-        kind, value, col = self.peek()
-        if kind != "op" or value != op:
+        if self.peek()[:2] != ("op", op):
             self.fail(f"expected {op!r}")
-        return self.next()
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            self.fail(f"unexpected trailing input {self.peek()[1]!r}")
-        return node
+        self.next()
 
     def expr(self):
-        node = self.term()
+        f = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            node = Bin(op, node, self.term())
-        return node
+            f = _binary(self.next()[1], f, self.term())
+        return f
 
     def term(self):
-        node = self.factor()
+        f = self.factor()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
-            node = Bin(op, node, self.factor())
-        return node
+            f = _binary(self.next()[1], f, self.factor())
+        return f
 
     def factor(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
-            operand = self.factor_after_minus()
-            return Neg(operand)
-        return self.power()
-
-    def factor_after_minus(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
-            return Neg(self.factor_after_minus())
-        node = self.atom()
+        if self.peek()[:2] != ("op", "-"):
+            return self.power()
+        self.next()
+        operand = self.factor() if self.peek()[:2] == ("op", "-") else self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.fail("ambiguous '-' before '^': write (-x)^2 or -(x^2)")
-        return node
+        return lambda x: -operand(x)
 
     def power(self):
-        node = self.atom()
+        f = self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.next()
-            node = Bin("^", node, self.factor())
-        return node
+            f = _binary("^", f, self.factor())
+        return f
 
     def atom(self):
-        kind, value, col = self.peek()
+        kind, value, col = self.next()
         if kind == "num":
-            self.next()
-            return Num(float(value))
+            return _constant(np.float64(float(value)))
         if kind == "name":
-            self.next()
             if self.peek()[:2] == ("op", "("):
                 if value not in FUNCTIONS:
-                    raise ExpressionError(f"unknown function {value!r}", self.line, col)
+                    self.fail(f"unknown function {value!r}", col)
                 self.next()
-                arg = self.expr()
+                func, arg = FUNCTIONS[value], self.expr()
                 self.expect_op(")")
-                return Call(value, arg)
-            return Name(value, self.line, col)
+                return lambda x: func(arg(x))
+            if value == "x":
+                return lambda x: x
+            if value not in self.params:
+                self.fail(f"unknown name {value!r}", col)
+            return _constant(self.params[value])
         if (kind, value) == ("op", "("):
-            self.next()
-            node = self.expr()
+            f = self.expr()
             self.expect_op(")")
-            return node
-        self.fail(f"expected a number, name, or '(', got {value!r}" if value else "unexpected end of expression")
+            return f
+        self.fail(f"expected a number, name, or '(', got {value!r}" if value
+                  else "unexpected end of expression", col)
 
 
-def parse_expression(text: str, line: int = 1) -> Node:
-    """Parse one expression; ``line`` seeds error locations."""
-    return _Parser(_tokenize(text, line), line).parse()
+def parse_expression(text: str, params: Optional[Mapping[str, float]] = None,
+                     line: int = 1) -> Callable:
+    """Compile one expression into a function of x evaluated with numpy.
 
-
-def compile_expression(node: Node, params: dict) -> Callable:
-    """A function of x that evaluates the tree with numpy.
-
-    Parameters are looked up now, so an unknown name raises
-    ExpressionError here rather than at evaluation.  The function takes a
-    scalar or a numpy array of x.
+    ``params`` maps parameter names to values, bound now: a name that is
+    neither x nor a parameter raises ExpressionError here, at its column,
+    rather than at evaluation.  ``line`` seeds error locations.  The
+    function takes a scalar or a numpy array of x.
     """
-    body = _compile(node, {name: np.float64(value) for name, value in params.items()})
+    values = {name: np.float64(value) for name, value in (params or {}).items()}
+    parser = _Parser(_tokenize(text, line), line, values)
+    body = parser.expr()
+    if parser.peek()[0] != "end":
+        parser.fail(f"unexpected trailing input {parser.peek()[1]!r}")
     return lambda x: body(np.asarray(x, dtype=float))
-
-
-def _compile(node, params):
-    if isinstance(node, Num):
-        value = np.float64(node.value)
-        return lambda x: value
-    if isinstance(node, Name):
-        if node.name == "x":
-            return lambda x: x
-        try:
-            value = params[node.name]
-        except KeyError:
-            raise ExpressionError(f"unknown name {node.name!r}", node.line, node.column) from None
-        return lambda x: value
-    if isinstance(node, Neg):
-        operand = _compile(node.operand, params)
-        return lambda x: -operand(x)
-    if isinstance(node, Call):
-        func, arg = FUNCTIONS[node.func], _compile(node.arg, params)
-        return lambda x: func(arg(x))
-    op = _OPERATORS[node.op]
-    left, right = _compile(node.left, params), _compile(node.right, params)
-    return lambda x: op(left(x), right(x))

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special
 
-from .expressions import ExpressionError, compile_expression, parse_expression
+from .expressions import ExpressionError, parse_expression
 from .maps import TransformedProblem, map_catalog, transform_problem
 from .meshing import DecayProfile
 
@@ -188,6 +188,9 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     rho_decay_se, and repeatable ``param <name> = <value>`` declarations
     usable inside the q/rho expressions.  ``#`` starts a comment.
     ``kappa`` scales the DE map, so it needs all four DE decay constants.
+    q and rho are compiled after every line is read, so a param may follow
+    its first use; a syntax error or an undeclared name in either is a
+    ConfigError "expression 'q': ..." with the line and column.
     """
     fields = {}
     exprs = {}
@@ -207,16 +210,21 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
                 raise ConfigError(f"invalid parameter name {pname!r}", line=lineno)
             params[pname] = _scalar(value, key, lineno)
         elif key in ("q", "rho"):
-            try:
-                exprs[key] = parse_expression(value, line=lineno)
-            except ExpressionError as exc:
-                raise ConfigError(f"expression {key!r}: {exc}") from None
+            exprs[key] = (value, lineno)
         elif key in _SCALAR_KEYS:
             fields[key] = _scalar(value, key, lineno)
         elif key in ("name", "interval", "map"):
             fields[key] = value
         else:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
+
+    # Parsed only now, so a param may be declared after its first use.
+    compiled = {}
+    for key, (value, lineno) in exprs.items():
+        try:
+            compiled[key] = parse_expression(value, params, line=lineno)
+        except ExpressionError as exc:
+            raise ConfigError(f"expression {key!r}: {exc}") from None
 
     for mandatory in ("interval", "q", "rho", "map"):
         if mandatory not in fields and mandatory not in exprs:
@@ -230,13 +238,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
         raise ConfigError(f"map must be 'se' or 'de', got {declared_map!r}")
     if "d" not in fields:
         raise ConfigError("missing mandatory field 'd'")
-
-    compiled = {}
-    for key, node in exprs.items():
-        try:
-            compiled[key] = compile_expression(node, params)
-        except ExpressionError as exc:
-            raise ConfigError(f"expression {key!r} references an undeclared name: {exc}") from None
 
     missing_de = [k for k in ("beta_l", "beta_r", "gamma_l", "gamma_r") if k not in fields]
     have_de = not missing_de

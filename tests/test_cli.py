@@ -45,6 +45,22 @@ def test_singular_compare_includes_adapted(tmp_path):
     assert names == {"singular", "singular-adapted"}
 
 
+@pytest.mark.parametrize("flag", [["--kappa", "1"], ["--param", "kappa=1"]])
+def test_singular_compare_at_kappa_one_runs_each_series_once(tmp_path, capsys, flag):
+    # At kappa = 1 the requested map is the plain one: no de-adapted copy.
+    out = tmp_path / "x.csv"
+    code = main(["--problem", "singular", *flag, "--compare", "--rate-fit",
+                 "--n-min", "3", "--n-max", "5", "--output", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    assert [(r["method"], r["n"]) for r in rows] == [(m, str(n)) for m in ("se", "de")
+                                                      for n in (3, 4, 5)]
+    captured = capsys.readouterr()
+    fits = [line.split(":")[0] for line in (captured.out + captured.err).splitlines()
+            if line.startswith("rate-fit")]
+    assert fits == ["rate-fit se", "rate-fit de"]
+
+
 def test_singular_compare_rejects_stray_param(tmp_path, capsys):
     code = main(["--problem", "singular", "--compare", "--param", "kappa=0.5",
                  "--param", "depth=2", "--n-min", "3", "--n-max", "8",

@@ -243,8 +243,14 @@ def test_config_nonpositive_decay_constant():
 
 def test_config_undeclared_name_in_expression():
     bad = CONFIG_BESSEL.replace("param n = 7", "param m = 7")
-    with pytest.raises(ConfigError, match=r"undeclared.*'n' \(line 7, column 4\)"):
+    with pytest.raises(ConfigError, match=r"expression 'q': unknown name 'n' \(line 7, column 4\)"):
         parse_problem_config(bad)
+
+
+def test_config_param_may_follow_its_use():
+    text = ("interval = realline\nmap = se\nq = a/x^2\nrho = 1\nd = 0.5\n"
+            "alpha_se = 0.5\nrho_decay_se = 2\nparam a = 2\n")
+    assert parse_problem_config(text).q(2.0) == 0.5
 
 
 def test_config_kappa_restricted_to_real_line():

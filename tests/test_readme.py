@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import slsolve
+from slsolve.expressions import FUNCTIONS
 from slsolve import convergence_study, parse_problem_config
 from slsolve.cli import main
 
@@ -67,3 +68,10 @@ def test_library_names_are_the_exports():
     assert {name for _, name in listed} == set(slsolve.__all__)
     assert [name for layer, name in sorted(listed)
             if not hasattr(importlib.import_module("slsolve." + layer), name)] == []
+
+
+def test_expression_functions_are_the_compiler_table():
+    # The README's list "sin, ..., abs." is expressions.FUNCTIONS, in order.
+    text = " ".join(README.split())
+    listed = text[text.index("sin, cos,"):].split(".", 1)[0]
+    assert [name.strip() for name in listed.split(",")] == list(FUNCTIONS)
