@@ -43,10 +43,26 @@ computes the whole spectrum and slices it: an index-range ?syevx solve
 was about 40 % faster there, but it changes the last bits of the low
 eigenvalues, which gates at rounding level compare, so every ungraded
 level stays bitwise what the full solve gives.
+
+A convergence study knows each level's eigenvalues before it solves it:
+the previous level's, to the study's own convergence.  Given them as
+``near``, an eigenvalues-only solve of size WARM_MIN_SIZE or more skips
+the dense routes (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4):
+for each wanted mu_i, one Bunch-Kaufman factorization (?sytrf) of
+A - s_i D^2 at a shift just above the guess certifies by Sylvester's
+inertia that exactly i eigenvalues lie below s_i, and inverse iteration
+(?sytrs) refines the guess until the Rayleigh quotient stagnates at its
+rounding floor eps |y|^T |A| |y| / y^T D^2 y.  No tridiagonal reduction
+is made.  A quotient outside (s_{i-1}, s_i), a wrong inertia count or no
+stagnation in 4 solves falls back to the dense route, whose result is
+then bitwise what it is without ``near``.  The floor holds on graded
+pencils too: a residual bound scaled by D^-1 does not, because rounding
+in (A y)_k divided by d_k explodes where the weights are tiny.
 """
 
+import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -58,6 +74,15 @@ from .sinc import diff_matrix
 # Weight grading max(w)/min(w) above which the congruence route is
 # abandoned for the shifted factorization route.
 GRADE_LIMIT = 1e8
+# Pencils below this size keep the dense routes even when ``near`` is
+# given.  With one BLAS thread the warm route is the faster one from about
+# size 27 with one wanted eigenvalue, and with three from about size 72 on
+# ungraded pencils (graded ones, tried from size 33 up, gained throughout);
+# below 64 it also leaves the levels a DE study converges on bitwise as
+# they were.
+WARM_MIN_SIZE = 64
+
+_log = logging.getLogger(__name__)
 
 
 class AssemblyError(RuntimeError):
@@ -168,6 +193,8 @@ def _solve_inverted(A, w, compute_vectors, count):
             break
         # info = n + i: the leading minor of order i of A + sD^2 is not
         # positive definite.
+        _log.debug("size %d: A + s D^2 with s = %.6g has a leading minor of order %d that "
+                   "is not positive definite; retrying with s = %.6g", n, s, info - n, 10.0 * s)
         s *= 10.0
     else:
         raise SolverError("could not find a positive definite shift of (A, D^2)")
@@ -184,8 +211,68 @@ def _solve_inverted(A, w, compute_vectors, count):
     return Spectrum(eigenvalues=mu, eigenvectors=V[:, ::-1] / np.sqrt(theta))
 
 
+_sytrf, _sytrs = scipy.linalg.get_lapack_funcs(("sytrf", "sytrs"), dtype=np.float64)
+_EPS = np.finfo(float).eps
+
+
+def _solve_warm(A, w, guess, moved):
+    """The eigenvalues next to ``guess``, certified by inertia; None to fall back.
+
+    Eigenvalue i (from 1) is sought below the shift s_i = g_i + delta_i.
+    The Bunch-Kaufman factor L B L^T of A - s_i D^2 has the inertia of
+    the pencil shifted by s_i (Sylvester), so exactly i eigenvalues lie
+    below s_i when B has i negative eigenvalues: one per negative 1x1
+    pivot and one per 2x2 pivot, which Bunch-Kaufman only takes with a
+    negative determinant.  Inverse iteration from a ones vector stops
+    when the Rayleigh quotient moves by at most 4 f, where
+    f = eps |y|^T |A| |y| / y^T D^2 y is the rounding floor of its
+    evaluation: an absolute test, which also holds at mu = 0.  A quotient
+    inside (s_{i-1}, s_i), an interval that holds mu_i alone, is mu_i.
+    """
+    n = w.size
+    abs_a = np.abs(A)
+    mu = np.empty(len(guess))
+    lower = -np.inf
+    for i, (g, m) in enumerate(zip(guess, moved), start=1):
+        shift = g + max(8.0 * m, 1e-8 * max(1.0, abs(g)))
+        K = A.copy()
+        K.reshape(-1)[:: n + 1] -= shift * w
+        ldu, ipiv, info = _sytrf(K.T, overwrite_a=1)
+        pairs = ipiv < 0  # both rows of each 2x2 pivot
+        below = np.count_nonzero(ldu.diagonal()[~pairs] < 0.0) + np.count_nonzero(pairs) // 2
+        if info != 0 or below != i:
+            _log.debug("size %d: warm start falls back: %d eigenvalues below the shift "
+                       "%.17g for eigenvalue %d", n, below, shift, i)
+            return None
+        y = np.ones(n)
+        previous = None
+        for solves in range(1, 5):
+            y = _sytrs(ldu, ipiv, w * y)[0]
+            y /= np.abs(y).max()
+            ywy = y @ (w * y)
+            rho = (y @ (A @ y)) / ywy
+            if previous is not None:
+                abs_y = np.abs(y)
+                if abs(rho - previous) <= 4.0 * _EPS * (abs_y @ (abs_a @ abs_y)) / ywy:
+                    break
+            previous = rho
+        else:
+            _log.debug("size %d: warm start falls back: no stagnation after %d solves "
+                       "for eigenvalue %d", n, solves, i)
+            return None
+        if not lower < rho < shift:
+            _log.debug("size %d: warm start falls back: Rayleigh quotient %.17g of "
+                       "eigenvalue %d outside (%.17g, %.17g)", n, rho, i, lower, shift)
+            return None
+        mu[i - 1] = rho
+        lower = shift
+    return Spectrum(eigenvalues=mu)
+
+
 def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
-                      count: Optional[int] = None) -> Spectrum:
+                      count: Optional[int] = None,
+                      near: Optional[Tuple[Sequence[float], Sequence[float]]] = None
+                      ) -> Spectrum:
     """Generalized eigenvalues mu of (A, D^2), ascending.
 
     ``count`` is the number of lowest eigenvalues the caller reads; only
@@ -193,6 +280,14 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     size).  Recovered eigenvectors are D^2-orthonormal:
     z_i^T D^2 z_j = delta_ij.  A must be exactly symmetric, on both
     routes.
+
+    ``near`` = (g, moved) warm-starts an eigenvalues-only solve: g holds
+    the lowest ``count`` eigenvalues of a neighbouring pencil, such as the
+    previous level of a convergence study, and moved how far each moved
+    from the level before.  From size WARM_MIN_SIZE on, each g_i is
+    refined by certified shifted inverse iteration instead of a dense
+    solve; any doubt in the certificate falls back to the dense route,
+    and a smaller pencil or ``compute_vectors`` ignores ``near``.
     """
     w = np.asarray(system.weights, dtype=float)
     if count is None:
@@ -214,6 +309,14 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
         raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
     if not (A == A.T).all():
         raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
+    if near is not None and not compute_vectors and w.size >= WARM_MIN_SIZE:
+        guess, moved = near
+        if not len(guess) == len(moved) == min(count, w.size):
+            raise ValueError(f"near must hold {min(count, w.size)} eigenvalues and moves, "
+                             f"got {len(guess)} and {len(moved)}")
+        spectrum = _solve_warm(A, w, guess, moved)
+        if spectrum is not None:
+            return spectrum
     if w_max <= GRADE_LIMIT * w_min:
         return _solve_congruence(A, w, compute_vectors, count)
     return _solve_inverted(A, w, compute_vectors, count)

@@ -185,8 +185,10 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
 
     Recognized keys: name, interval (unit|halfline|realline), q, rho,
     map (se|de), kappa, d, beta_l, beta_r, gamma_l, gamma_r, alpha_se,
-    rho_decay_se, and repeatable ``param <name> = <value>`` declarations
-    usable inside the q/rho expressions.  ``#`` starts a comment.
+    rho_decay_se, and ``param <name> = <value>`` declarations usable
+    inside the q/rho expressions.  Each key and each param name may be
+    given once; a repeat is a ConfigError naming both lines.  ``#``
+    starts a comment.
     ``kappa`` scales the DE map, so it needs all four DE decay constants.
     q and rho are compiled after every line is read, so a param may follow
     its first use; a syntax error or an undeclared name in either is a
@@ -195,6 +197,7 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     fields = {}
     exprs = {}
     params = {}
+    first_line = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,6 +211,12 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
             pname = key[len("param "):].strip()
             if not pname.isidentifier() or pname == "x":
                 raise ConfigError(f"invalid parameter name {pname!r}", line=lineno)
+            key = "param " + pname
+        if key in first_line:
+            raise ConfigError(f"repeated key {key!r}, first set on line {first_line[key]}",
+                              line=lineno)
+        first_line[key] = lineno
+        if key.startswith("param "):
             params[pname] = _scalar(value, key, lineno)
         elif key in ("q", "rho"):
             exprs[key] = (value, lineno)

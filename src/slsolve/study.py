@@ -71,6 +71,11 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     max(eig_indices) are computed; the error column is absolute when the
     problem has a reference eigenvalue and successive-difference (against
     the previous level in the grid) otherwise.
+
+    From the third level on, each solve is warm-started from the previous
+    level's eigenvalues and how far they moved (``near`` of
+    ``solve_generalized``), which spares pencils of size WARM_MIN_SIZE and
+    up their dense solve once the series has converged.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
@@ -81,7 +86,10 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     count = max(eig_indices)
     tp = transformed(problem, method)
     records = []
-    previous = {}
+    # The lowest `count` eigenvalues of the last two levels: the last one
+    # gives successive differences, and both warm-start the solve from the
+    # third level on.
+    last = before = None
     for n in ns:
         if method == "se":
             mesh = se_mesh(problem.se_profile, n)
@@ -94,10 +102,11 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
                 problem.name, method, n,
                 ValueError(f"eigenvalue index {count} exceeds matrix dimension {mesh.size}"),
             )
+        near = None if before is None else (last, np.abs(last - before))
         start = time.perf_counter()
         try:
             system = assemble(tp, mesh)
-            spectrum = solve_generalized(system, count=count)
+            spectrum = solve_generalized(system, count=count, near=near)
         except Exception as exc:
             raise StudyError(problem.name, method, n, exc) from exc
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -106,14 +115,14 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
             ref = reference_eigenvalue(problem, i)
             abs_error = abs(mu - ref) if ref is not None else None
             succ_error = None
-            if ref is None and i in previous:
-                succ_error = abs(mu - previous[i])
-            previous[i] = mu
+            if ref is None and last is not None:
+                succ_error = abs(mu - float(last[i - 1]))
             records.append(StudyRecord(
                 method=method, problem=problem.name, n=n, M=mesh.M, N=mesh.N,
                 h=mesh.h, size=mesh.size, eig_index=i, mu=mu,
                 abs_error=abs_error, succ_error=succ_error, runtime_ms=elapsed_ms,
             ))
+        before, last = last, spectrum.eigenvalues
     return records
 
 

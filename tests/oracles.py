@@ -11,6 +11,8 @@ of that start dies out like exp(-2 int sqrt(q - lambda rho)).
 It shares no code with slsolve: no map, no mesh, no collocation.
 """
 
+import functools
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -60,6 +62,10 @@ def singular_rho(x):
 SINGULAR_BRACKETS = ((0.5, 0.9), (4.5, 5.5), (8.8, 9.7))
 
 
+@functools.lru_cache(maxsize=None)
 def singular_eigenvalues(L=8.0):
-    """The three lowest eigenvalues of the builtin ``singular`` problem, by shooting."""
-    return [eigenvalue(singular_q, singular_rho, bracket, L) for bracket in SINGULAR_BRACKETS]
+    """The three lowest eigenvalues of the builtin ``singular`` problem, by shooting.
+
+    Cached per cut L: each call shoots for about two seconds.
+    """
+    return tuple(eigenvalue(singular_q, singular_rho, bracket, L) for bracket in SINGULAR_BRACKETS)

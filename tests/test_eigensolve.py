@@ -1,16 +1,19 @@
+import logging
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
+import oracles
 from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
-                     MeshConfig, assemble, builtin, de_mesh, de_mesh_symmetric,
-                     map_catalog, se_mesh, solve_generalized,
+                     MeshConfig, assemble, builtin, convergence_study, de_mesh,
+                     de_mesh_symmetric, map_catalog, se_mesh, solve_generalized,
                      transform_problem, transformed)
 from slsolve import eigensolve
-from slsolve.eigensolve import GRADE_LIMIT
+from slsolve.eigensolve import GRADE_LIMIT, WARM_MIN_SIZE
 
 
 def charpoly_roots(A, w):
@@ -379,3 +382,149 @@ def test_builtin_levels_solve_or_raise_typed_error_without_warnings(name, method
             except AssemblyError:
                 continue
             assert np.isfinite(solve_generalized(system).eigenvalues[0])
+
+
+# -- warm-started levels ------------------------------------------------------
+
+def _warm_level(name="bessel", n=30, count=3):
+    """A balanced DE pencil of size >= WARM_MIN_SIZE and its dense lowest eigenvalues."""
+    problem = builtin(name)
+    system = assemble(transformed(problem, "de"), de_mesh(problem.de_profile, n))
+    assert system.size >= WARM_MIN_SIZE
+    return system, solve_generalized(system, count=count).eigenvalues
+
+
+def test_warm_start_refines_to_the_dense_eigenvalues(caplog):
+    system, mu = _warm_level()
+    for guess in (mu, mu * (1.0 + 1e-10)):
+        with caplog.at_level(logging.DEBUG, logger="slsolve"):
+            warm = solve_generalized(system, count=3, near=(guess, np.zeros(3))).eigenvalues
+        assert caplog.records == []  # served by the warm route, no fallback
+        assert not np.array_equal(warm, mu)
+        np.testing.assert_allclose(warm, mu, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cause,guess", [
+    # mu_2's value given for mu_1: two eigenvalues lie below the shift
+    ("2 eigenvalues below the shift", lambda mu: mu[1]),
+    # a shift halfway between mu_1 and mu_2: no stagnation in 4 solves
+    ("no stagnation after 4 solves", lambda mu: (mu[0] + mu[1]) / 2),
+    # a shift just below mu_2: the iteration finds mu_2, above the shift
+    ("outside", lambda mu: mu[1] - 1e-4),
+], ids=["inertia", "stagnation", "bracket"])
+def test_wrong_near_falls_back_to_the_dense_result_bit_for_bit(caplog, cause, guess):
+    system, mu = _warm_level(count=2)
+    near = ([guess(mu)], [0.0])
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        spectrum = solve_generalized(system, count=1, near=near)
+    assert np.array_equal(spectrum.eigenvalues, mu[:1])
+    assert [r.name for r in caplog.records] == ["slsolve.eigensolve"]
+    message = caplog.records[0].getMessage()
+    assert message.startswith(f"size {system.size}: warm start falls back")
+    assert cause in message
+
+
+def test_shift_retry_is_logged(caplog):
+    # s = min A_kk / w_k = 1 leaves A + s D^2 indefinite; s = 10 does not.
+    system = GeneralizedSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1e-10]),
+                               MeshConfig(h=1.0, M=0, N=1))
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        mu = solve_generalized(system).eigenvalues
+    # det(A - mu D^2) = 1e-10 mu^2 - (1 + 1e-10) mu - 3: roots -3e10 / mu_2 and about 1e10 + 4
+    assert mu[0] == pytest.approx(-3e10 / (1e10 + 4), rel=1e-12)
+    assert [r.getMessage() for r in caplog.records] == [
+        "size 2: A + s D^2 with s = 1 has a leading minor of order 2 that is not "
+        "positive definite; retrying with s = 10"]
+
+
+def test_near_is_ignored_for_vectors_and_small_pencils():
+    system, mu = _warm_level()
+    pairs = solve_generalized(system, compute_vectors=True, count=3)
+    warm = solve_generalized(system, compute_vectors=True, count=3, near=(mu, np.zeros(3)))
+    assert np.array_equal(warm.eigenvalues, pairs.eigenvalues)
+    assert np.array_equal(warm.eigenvectors, pairs.eigenvectors)
+    small = _bessel_system(15)
+    assert small.size < WARM_MIN_SIZE
+    dense = solve_generalized(small, count=2).eigenvalues
+    assert np.array_equal(solve_generalized(small, count=2, near=(dense, [0.0, 0.0])).eigenvalues,
+                          dense)
+
+
+def test_near_must_hold_count_values():
+    system, mu = _warm_level()
+    with pytest.raises(ValueError, match="near must hold 3"):
+        solve_generalized(system, count=3, near=(mu[:2], np.zeros(2)))
+
+
+def _warm_and_dense_errors(monkeypatch, problem, ns, indices, balanced, reference):
+    """Max |mu - reference| over the levels the warm route serves, warm then dense."""
+    errors = []
+    for threshold in (WARM_MIN_SIZE, math.inf):
+        monkeypatch.setattr(eigensolve, "WARM_MIN_SIZE", threshold)
+        records = convergence_study(problem, "de", ns, indices, balanced=balanced)
+        warm_served = [r for r in records if r.n >= min(ns) + 2 and r.size >= WARM_MIN_SIZE]
+        errors.append(max(abs(r.mu - reference[r.eig_index - 1]) for r in warm_served))
+    return errors
+
+
+@pytest.mark.parametrize("name,ns,indices,balanced,reference", [
+    ("singular", range(32, 121), (1, 2, 3), False, oracles.singular_eigenvalues),
+    ("bessel", range(2, 41), (1,), True, lambda: scipy.special.jn_zeros(7, 3) ** 2),
+    ("laguerre", range(2, 61), (1, 2, 3), True, lambda: (0.0, 1.0, 2.0)),
+], ids=["singular", "bessel", "laguerre"])
+def test_warm_route_is_no_less_accurate_than_the_dense_route(monkeypatch, name, ns, indices,
+                                                             balanced, reference):
+    # The acceptance studies (and singular up to size 241) against independent
+    # references: shooting, Bessel zeros, and k - 1.
+    warm, dense = _warm_and_dense_errors(monkeypatch, builtin(name), ns, indices, balanced,
+                                         reference())
+    assert warm <= dense, (warm, dense)
+    assert dense <= 1e-11
+
+
+def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
+    # A work count, not a timing: every level of the Bessel balanced study
+    # from the third on and of size >= WARM_MIN_SIZE factors A - s D^2 once
+    # and makes no dense solve.
+    calls = {"sytrf": 0, "dense": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eigensolve, "_sytrf", counted("sytrf", eigensolve._sytrf))
+    for route in ("_solve_congruence", "_solve_inverted"):
+        monkeypatch.setattr(eigensolve, route, counted("dense", getattr(eigensolve, route)))
+    records = convergence_study(builtin("bessel", n=7), "de", range(2, 41), balanced=True)
+    warm = sum(1 for r in records[2:] if r.size >= WARM_MIN_SIZE)
+    assert warm >= 20
+    assert calls == {"sytrf": warm, "dense": len(records) - warm}
+
+
+def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(monkeypatch, caplog):
+    # A zero-diagonal tridiagonal A: shifted into the interior of its
+    # spectrum the diagonal is too small for 1x1 pivots, so Bunch-Kaufman
+    # takes 2x2 ones.  Graded weights break the symmetry under which the
+    # ones vector would be orthogonal to the lowest eigenvector.
+    n = 64
+    A = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    w = np.linspace(1.0, 2.0, n)
+    d = np.sqrt(w)
+    dense = np.linalg.eigvalsh(A / np.outer(d, d))
+    sytrf = eigensolve._sytrf
+    pairs = []
+
+    def spy(*args, **kwargs):
+        ldu, ipiv, info = sytrf(*args, **kwargs)
+        pairs.append(np.count_nonzero(ipiv < 0) // 2)
+        return ldu, ipiv, info
+
+    monkeypatch.setattr(eigensolve, "_sytrf", spy)
+    system = GeneralizedSystem(A, w, MeshConfig(h=1.0, M=0, N=n - 1))
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        mu = solve_generalized(system, count=n, near=(dense, np.zeros(n))).eigenvalues
+    assert caplog.records == []
+    assert len(pairs) == n and max(pairs) >= 10
+    np.testing.assert_allclose(mu, dense, rtol=0.0, atol=1e-13)

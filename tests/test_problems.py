@@ -283,3 +283,22 @@ def test_config_se_problem():
     p = parse_problem_config(CONFIG_GAUSSIAN_WELL)
     assert p.se_profile is not None and p.de_profile is None
     assert p.q(2.0) == 4.0
+
+
+@pytest.mark.parametrize("key,repeat", [
+    ("q", "q = 3"),
+    ("rho", "rho = 2"),
+    ("d", "d = 0.25"),
+    ("name", "name = other"),
+    ("interval", "interval = halfline"),
+    ("map", "map = de"),
+    ("param a", "param  a = 3"),
+])
+def test_config_refuses_a_repeated_key(key, repeat):
+    text = CONFIG_GAUSSIAN_WELL.replace("q = x^2", "q = a*x^2") + "param a = 1\n"
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines, start=1)
+                 if line.split("=")[0].split() == key.split())
+    with pytest.raises(ConfigError, match=rf"repeated key '{key}', first set on line "
+                                          rf"{first} \(line {len(lines) + 1}\)"):
+        parse_problem_config(text + repeat + "\n")
