@@ -13,7 +13,7 @@ from .eigensolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                          SolverError, Spectrum, assemble, solve_generalized)
 from .expressions import ExpressionError, parse_expression
 from .maps import EvaluationError, TransformedProblem, map_catalog, transform_problem
-from .meshing import DecayProfile, MeshConfig, de_mesh, de_mesh_symmetric, se_mesh
+from .meshing import DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric, se_mesh
 from .problems import (ConfigError, SturmLiouvilleProblem, builtin, parse_problem_config,
                        reference_eigenvalue, transformed)
 from .sinc import diff_matrix
@@ -23,10 +23,10 @@ from .study import (InsufficientDataError, StudyError, StudyRecord, compare_meth
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConfigError", "DecayProfile",
+    "AssemblyError", "ConfigError", "DEProfile",
     "DefinitenessError", "EvaluationError", "ExpressionError",
     "GeneralizedSystem", "InsufficientDataError", "MeshConfig",
-    "SolverError", "Spectrum", "StudyError", "StudyRecord",
+    "SEProfile", "SolverError", "Spectrum", "StudyError", "StudyRecord",
     "SturmLiouvilleProblem", "TransformedProblem", "assemble",
     "builtin", "compare_methods", "convergence_study", "de_mesh",
     "de_mesh_symmetric", "diff_matrix", "emit_csv",

@@ -99,7 +99,7 @@ def main(argv=None) -> int:
         # Opened before the study, so an unwritable destination costs nothing.
         with open(args.output, "w", newline="") as handle:
             if args.compare:
-                if args.problem == "singular" and problem.kappa != 1.0:
+                if args.problem == "singular" and problem.de_profile.kappa != 1.0:
                     # Compare the plain whole-line map against the requested one.
                     series = compare_methods(builtin("singular", kappa=1.0), ns,
                                              eig_index=args.eig_index, adapted=problem)

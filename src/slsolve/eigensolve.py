@@ -55,7 +55,8 @@ inertia that exactly i eigenvalues lie below s_i, and inverse iteration
 rounding floor eps |y|^T |A| |y| / y^T D^2 y.  No tridiagonal reduction
 is made.  A quotient outside (s_{i-1}, s_i), a wrong inertia count or no
 stagnation in 4 solves falls back to the dense route, whose result is
-then bitwise what it is without ``near``.  The floor holds on graded
+then bitwise what it is without ``near``, and so do guesses that predict
+no stagnation, before any factorization.  The floor holds on graded
 pencils too: a residual bound scaled by D^-1 does not, because rounding
 in (A y)_k divided by d_k explodes where the weights are tiny.
 """
@@ -213,6 +214,8 @@ def _solve_inverted(A, w, compute_vectors, count):
 
 _sytrf, _sytrs = scipy.linalg.get_lapack_funcs(("sytrf", "sytrs"), dtype=np.float64)
 _EPS = np.finfo(float).eps
+# Inverse iteration solves per eigenvalue before the warm route gives up.
+_SOLVES = 4
 
 
 def _solve_warm(A, w, guess, moved):
@@ -228,13 +231,25 @@ def _solve_warm(A, w, guess, moved):
     f = eps |y|^T |A| |y| / y^T D^2 y is the rounding floor of its
     evaluation: an absolute test, which also holds at mu = 0.  A quotient
     inside (s_{i-1}, s_i), an interval that holds mu_i alone, is mu_i.
+
+    Each solve shrinks the quotient's error by r^2, with r = (s_i - g_i)
+    over the distance from s_i to the nearest other guess (eigenvalues
+    above the guesses are unknown, so r errs low).  Where r^(2 * _SOLVES)
+    exceeds eps, the last solve leaves it above the floor: no factorization.
     """
     n = w.size
+    shifts = [g + max(8.0 * m, 1e-8 * max(1.0, abs(g))) for g, m in zip(guess, moved)]
+    for i, (g, shift) in enumerate(zip(guess, shifts)):
+        nearest = min((abs(o - shift) for j, o in enumerate(guess) if j != i), default=np.inf)
+        if shift - g > _EPS ** (0.5 / _SOLVES) * nearest:
+            _log.debug("size %d: warm start skipped: the shift %.17g for eigenvalue %d is "
+                       "%.3g from its guess and %.3g from the nearest other guess",
+                       n, shift, i + 1, shift - g, nearest)
+            return None
     abs_a = np.abs(A)
     mu = np.empty(len(guess))
     lower = -np.inf
-    for i, (g, m) in enumerate(zip(guess, moved), start=1):
-        shift = g + max(8.0 * m, 1e-8 * max(1.0, abs(g)))
+    for i, shift in enumerate(shifts, start=1):
         K = A.copy()
         K.reshape(-1)[:: n + 1] -= shift * w
         ldu, ipiv, info = _sytrf(K.T, overwrite_a=1)
@@ -246,7 +261,7 @@ def _solve_warm(A, w, guess, moved):
             return None
         y = np.ones(n)
         previous = None
-        for solves in range(1, 5):
+        for solves in range(1, _SOLVES + 1):
             y = _sytrs(ldu, ipiv, w * y)[0]
             y /= np.abs(y).max()
             ywy = y @ (w * y)

@@ -1,11 +1,12 @@
 """Mesh-size and truncation selection from solution decay profiles.
 
 A transformed problem comes with decay constants describing how fast its
-solution dies off along the real axis.  Double-exponential (DE) decay
-``exp(-beta * exp(gamma |t|))`` may differ between the left and right
-tails, so the two truncation indices M (left) and N (right) are balanced
-to equate the tail contributions; single-exponential (SE) decay
-``exp(-alpha |t|^rho)`` uses a symmetric truncation.
+solution dies off along the real axis, one profile per map.  A
+``DEProfile`` (which also carries the DE map's scale kappa) declares the
+double-exponential decay ``exp(-beta * exp(gamma |t|))`` of each tail;
+the two truncation indices M (left) and N (right) are balanced to equate
+the tail contributions.  An ``SEProfile`` declares the single-exponential
+decay ``exp(-alpha |t|^rho)`` and gets a symmetric truncation.
 
 The DE mesh size solves ``beta * exp(gamma n h) * h = pi d`` exactly,
 which equates the truncation and discretization error exponents; the
@@ -18,74 +19,55 @@ markedly better at moderate n.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import scipy.special
 
 _D_BOUND_SLACK = 1e-12
 
 
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function: w >= 0 with w e^w = x.
-
-    Raises ValueError if ``x`` is negative or not finite.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"lambert_w0 requires a finite argument, got {x!r}")
-    if x < 0.0:
-        raise ValueError(f"lambert_w0 is only defined for x >= 0, got {x!r}")
-    return float(scipy.special.lambertw(x).real)
+def _validate(profile, kind, names):
+    """Refuse a strip half-width or decay constant that is not positive and finite."""
+    if not (profile.d > 0.0 and math.isfinite(profile.d)):
+        raise ValueError(f"strip half-width must be positive, got d={profile.d!r}")
+    for name in names:
+        v = getattr(profile, name)
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"{kind} profile needs positive {name}, got {v!r}")
 
 
 @dataclass(frozen=True)
-class DecayProfile:
-    """Decay envelope of a transformed solution plus its analyticity strip.
+class DEProfile:
+    """DE decay ``exp(-beta e^(gamma |t|))`` per tail, strip half-width d, map scale kappa.
 
-    ``kind`` selects which fields are meaningful: "DE" uses the four
-    one-sided constants beta/gamma, "SE" uses alpha and rho_decay.  The
-    strip half-width d bounds the discretization-error exponent and, for
-    DE profiles, must satisfy d <= pi / (2 max(gamma)).
+    d <= pi / (2 max(gamma)); ``maps.map_catalog`` checks kappa against the
+    interval when a problem declares the profile.
     """
 
-    kind: str
+    beta_left: float
+    beta_right: float
+    gamma_left: float
+    gamma_right: float
     d: float
-    beta_left: Optional[float] = None
-    beta_right: Optional[float] = None
-    gamma_left: Optional[float] = None
-    gamma_right: Optional[float] = None
-    alpha: Optional[float] = None
-    rho_decay: Optional[float] = None
+    kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("SE", "DE"):
-            raise ValueError(f"unknown decay kind {self.kind!r}; expected 'SE' or 'DE'")
-        if not (self.d > 0.0 and math.isfinite(self.d)):
-            raise ValueError(f"strip half-width must be positive, got d={self.d!r}")
-        if self.kind == "DE":
-            for name in ("beta_left", "beta_right", "gamma_left", "gamma_right"):
-                v = getattr(self, name)
-                if v is None or not (v > 0.0 and math.isfinite(v)):
-                    raise ValueError(f"DE profile needs positive {name}, got {v!r}")
-            gamma = max(self.gamma_left, self.gamma_right)
-            if self.d > math.pi / (2.0 * gamma) + _D_BOUND_SLACK:
-                raise ValueError(
-                    f"strip half-width d={self.d!r} exceeds pi/(2*gamma)="
-                    f"{math.pi / (2.0 * gamma)!r}"
-                )
-        else:
-            for name in ("alpha", "rho_decay"):
-                v = getattr(self, name)
-                if v is None or not (v > 0.0 and math.isfinite(v)):
-                    raise ValueError(f"SE profile needs positive {name}, got {v!r}")
+        _validate(self, "DE", ("beta_left", "beta_right", "gamma_left", "gamma_right"))
+        gamma = max(self.gamma_left, self.gamma_right)
+        if self.d > math.pi / (2.0 * gamma) + _D_BOUND_SLACK:
+            raise ValueError(f"strip half-width d={self.d!r} exceeds pi/(2*gamma)="
+                             f"{math.pi / (2.0 * gamma)!r}")
 
-    @classmethod
-    def de(cls, beta_left, beta_right, gamma_left, gamma_right, d) -> "DecayProfile":
-        return cls(kind="DE", d=d, beta_left=beta_left, beta_right=beta_right,
-                   gamma_left=gamma_left, gamma_right=gamma_right)
 
-    @classmethod
-    def se(cls, alpha, rho_decay, d) -> "DecayProfile":
-        return cls(kind="SE", d=d, alpha=alpha, rho_decay=rho_decay)
+@dataclass(frozen=True)
+class SEProfile:
+    """SE decay ``exp(-alpha |t|^rho_decay)`` with strip half-width d."""
+
+    alpha: float
+    rho_decay: float
+    d: float
+
+    def __post_init__(self):
+        _validate(self, "SE", ("alpha", "rho_decay"))
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,21 @@ class MeshConfig:
         return self.M + self.N + 1
 
 
-def de_mesh(profile: DecayProfile, n: int) -> MeshConfig:
+def _de_governing(profile: DEProfile, n: int):
+    """(left governs, W, h, (gamma, beta) governing, (gamma, beta) dependent)."""
+    if not isinstance(profile, DEProfile):
+        raise ValueError("de_mesh requires a DE decay profile")
+    if n < 1:
+        raise ValueError(f"governing index must be >= 1, got {n!r}")
+    # The larger gamma governs, then the larger beta; left wins ties.
+    tails = (profile.gamma_left, profile.beta_left), (profile.gamma_right, profile.beta_right)
+    left = tails[0] >= tails[1]
+    (gamma, beta), dependent = tails if left else tails[::-1]
+    w = float(scipy.special.lambertw(math.pi * profile.d * gamma * n / beta).real)
+    return left, w, w / (gamma * n), (gamma, beta), dependent
+
+
+def de_mesh(profile: DEProfile, n: int) -> MeshConfig:
     """Balanced DE mesh for governing index n.
 
     The governing tail receives n points and the dependent index is
@@ -120,40 +116,38 @@ def de_mesh(profile: DecayProfile, n: int) -> MeshConfig:
 
     Dependent indices are clamped at zero.  The mirror between the ceiling
     and floor cases means swapping the two tails reproduces the swapped
-    (M, N) only up to the rounding direction.
+    (M, N) only up to the rounding direction.  A dependent index that is
+    not finite (a beta ratio that overflows, or W = 0) raises ValueError.
     """
-    if profile.kind != "DE":
-        raise ValueError("de_mesh requires a DE decay profile")
-    if n < 1:
-        raise ValueError(f"governing index must be >= 1, got {n!r}")
-    # The larger gamma governs, then the larger beta; left wins ties.
-    tails = (profile.gamma_left, profile.beta_left), (profile.gamma_right, profile.beta_right)
-    left = tails[0] >= tails[1]
-    (gamma, beta), (gamma_dep, beta_dep) = tails if left else tails[::-1]
-    w = lambert_w0(math.pi * profile.d * gamma * n / beta)
-    h = w / (gamma * n)
-    dep = gamma / gamma_dep * n * (1.0 + math.log(beta / beta_dep) / w)
-    if left:
-        return MeshConfig(h=h, M=n, N=max(math.ceil(dep), 0))
-    return MeshConfig(h=h, M=max(math.floor(dep), 0), N=n)
+    left, w, h, (gamma, beta), (gamma_dep, beta_dep) = _de_governing(profile, n)
+    try:
+        dep = gamma / gamma_dep * n * (1.0 + math.log(beta / beta_dep) / w)
+        index = max(math.ceil(dep) if left else math.floor(dep), 0)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"the DE mesh's dependent truncation index at n={n} is not finite "
+                         f"for {profile}") from None
+    M, N = (n, index) if left else (index, n)
+    return MeshConfig(h=h, M=M, N=N)
 
 
-def de_mesh_symmetric(profile: DecayProfile, n: int) -> MeshConfig:
+def de_mesh_symmetric(profile: DEProfile, n: int) -> MeshConfig:
     """Symmetric DE mesh: M = N = n with the governing-case mesh size.
 
     Truncates both tails at the governing index, so the weaker tail's
     truncation error is not equalized; used as the plain-DE baseline.
     """
-    balanced = de_mesh(profile, n)
-    return MeshConfig(h=balanced.h, M=n, N=n)
+    return MeshConfig(h=_de_governing(profile, n)[2], M=n, N=n)
 
 
-def se_mesh(profile: DecayProfile, N: int) -> MeshConfig:
+def se_mesh(profile: SEProfile, N: int) -> MeshConfig:
     """Symmetric SE mesh: h = (pi d / (alpha N)^rho)^(1/(rho+1)), M = N."""
-    if profile.kind != "SE":
+    if not isinstance(profile, SEProfile):
         raise ValueError("se_mesh requires an SE decay profile")
     if N < 1:
         raise ValueError(f"truncation index must be >= 1, got {N!r}")
     rho = profile.rho_decay
-    h = (math.pi * profile.d / (profile.alpha * N) ** rho) ** (1.0 / (rho + 1.0))
+    try:
+        h = (math.pi * profile.d / (profile.alpha * N) ** rho) ** (1.0 / (rho + 1.0))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"the SE mesh size at N={N} is not finite for {profile}") from None
     return MeshConfig(h=h, M=N, N=N)

@@ -1,8 +1,11 @@
-"""Built-in eigenvalue problems, reference values, and config ingestion."""
+"""Built-in eigenvalue problems, reference values, and config ingestion.
+
+A problem declares a ``DEProfile`` (with the DE map's scale kappa) and an
+``SEProfile``, or one of them; Bessel references are squared jn_zeros.
+"""
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -10,7 +13,7 @@ import scipy.special
 
 from .expressions import ExpressionError, parse_expression
 from .maps import TransformedProblem, map_catalog, transform_problem
-from .meshing import DecayProfile
+from .meshing import DEProfile, SEProfile
 
 
 class ConfigError(ValueError):
@@ -27,10 +30,10 @@ class SturmLiouvilleProblem:
 
     ``interval_kind`` ("unit", "half_line" or "real_line") picks the
     problem's SE map from ``maps.map_catalog``; its DE map is that map
-    after kappa sinh(t).  ``kappa`` scales only the real-line DE map and
-    is 1 elsewhere: a DE profile declared with an (interval_kind, kappa)
-    the catalog has no DE map for raises ValueError at construction.  A
-    method is available exactly when its decay profile is declared.
+    after kappa sinh(t), with the ``de_profile``'s kappa.  A profile of
+    the wrong type, or one the catalog has no map for, raises ValueError
+    at construction.  A method is available exactly when its decay
+    profile is declared.
 
     ``q`` and ``rho`` are called with a numpy array of x, all points of a
     mesh at once, and must return an array of its shape or a constant.
@@ -46,14 +49,19 @@ class SturmLiouvilleProblem:
     interval_kind: str
     q: Callable
     rho: Callable
-    kappa: float = 1.0
-    de_profile: Optional[DecayProfile] = None
-    se_profile: Optional[DecayProfile] = None
+    de_profile: Optional[DEProfile] = None
+    se_profile: Optional[SEProfile] = None
     reference: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if self.de_profile is not None:
-            map_catalog(self.interval_kind, "DE", self.kappa)
+        for kind, profile, expected in (("DE", self.de_profile, DEProfile),
+                                        ("SE", self.se_profile, SEProfile)):
+            if profile is None:
+                continue
+            if not isinstance(profile, expected):
+                raise ValueError(f"{kind.lower()}_profile must be of type {expected.__name__}, "
+                                 f"got {type(profile).__name__}")
+            map_catalog(self.interval_kind, kind, profile.kappa if kind == "DE" else 1.0)
 
 
 def reference_eigenvalue(problem: SturmLiouvilleProblem, index: int) -> Optional[float]:
@@ -63,14 +71,6 @@ def reference_eigenvalue(problem: SturmLiouvilleProblem, index: int) -> Optional
     if problem.reference is None:
         return None
     return problem.reference(index)
-
-
-@lru_cache(maxsize=None)
-def bessel_zero(n: int, m: int) -> float:
-    """m-th positive zero of the order-n Bessel function of the first kind."""
-    if n < 1 or m < 1:
-        raise ValueError(f"order and index must be >= 1, got n={n!r}, m={m!r}")
-    return float(scipy.special.jn_zeros(n, m)[m - 1])
 
 
 def _bessel(n: int = 7) -> SturmLiouvilleProblem:
@@ -84,12 +84,12 @@ def _bessel(n: int = 7) -> SturmLiouvilleProblem:
         q=lambda x: coeff / (x * x),
         rho=lambda x: 1.0,
         # Transformed tails: exp(-n e^|t|) on the left, exp(-e^t / 2) on the right.
-        de_profile=DecayProfile.de(beta_left=float(n), beta_right=0.5,
-                                   gamma_left=1.0, gamma_right=1.0, d=math.pi / 2.0),
+        de_profile=DEProfile(beta_left=float(n), beta_right=0.5,
+                             gamma_left=1.0, gamma_right=1.0, d=math.pi / 2.0),
         # Single-exponential rate 1 is the binding (right) tail; the map's
         # poles sit at +-i pi/2.
-        se_profile=DecayProfile.se(alpha=1.0, rho_decay=1.0, d=math.pi / 2.0),
-        reference=lambda i: bessel_zero(n, i) ** 2,
+        se_profile=SEProfile(alpha=1.0, rho_decay=1.0, d=math.pi / 2.0),
+        reference=lambda i: float(scipy.special.jn_zeros(n, i)[i - 1]) ** 2,
     )
 
 
@@ -103,9 +103,9 @@ def _laguerre(alpha: float = 3.0) -> SturmLiouvilleProblem:
         q=lambda x: (alpha * alpha - 0.25) / (x * x) - (alpha + 1.0) / 2.0 + x * x / 16.0,
         rho=lambda x: 1.0,
         # Tails exp(-(alpha/2) e^|t|) left and exp(-e^(2t)/32) right.
-        de_profile=DecayProfile.de(beta_left=alpha / 2.0, beta_right=1.0 / 32.0,
-                                   gamma_left=1.0, gamma_right=2.0, d=math.pi / 4.0),
-        se_profile=DecayProfile.se(alpha=1.0, rho_decay=1.0, d=math.pi / 2.0),
+        de_profile=DEProfile(beta_left=alpha / 2.0, beta_right=1.0 / 32.0,
+                             gamma_left=1.0, gamma_right=2.0, d=math.pi / 4.0),
+        se_profile=SEProfile(alpha=1.0, rho_decay=1.0, d=math.pi / 2.0),
         # Eigenvalues 0, 1, 2, ... independent of alpha.
         reference=lambda i: float(i - 1),
     )
@@ -132,12 +132,11 @@ def _singular(kappa: float = _ADAPTED_KAPPA) -> SturmLiouvilleProblem:
         interval_kind="real_line",
         q=lambda x: x * x + np.tanh(x) / np.log(x * x + 1.1),
         rho=lambda x: 1.0 / (x * x + np.cos(x)),
-        kappa=kappa,
-        # Both tails exp(-(kappa^2/8) e^(2|t|)).
-        de_profile=DecayProfile.de(beta_left=kappa * kappa / 8.0, beta_right=kappa * kappa / 8.0,
-                                   gamma_left=2.0, gamma_right=2.0, d=d_de),
+        # Both tails exp(-(kappa^2/8) e^(2|t|)) under the kappa sinh(t) map.
+        de_profile=DEProfile(beta_left=kappa * kappa / 8.0, beta_right=kappa * kappa / 8.0,
+                             gamma_left=2.0, gamma_right=2.0, d=d_de, kappa=kappa),
         # Untransformed solution ~ exp(-t^2/2); nearest singularity +-i sqrt(0.1).
-        se_profile=DecayProfile.se(alpha=0.5, rho_decay=2.0, d=math.sqrt(0.1)),
+        se_profile=SEProfile(alpha=0.5, rho_decay=2.0, d=math.sqrt(0.1)),
         reference=None,
     )
 
@@ -160,17 +159,15 @@ def builtin(name: str, **params) -> SturmLiouvilleProblem:
 def transformed(problem: SturmLiouvilleProblem, method: str) -> TransformedProblem:
     """The problem under its SE or DE map, ready for assembly.
 
-    The map follows from ``problem.interval_kind`` and, for "de",
-    ``problem.kappa``; a method without a declared profile is a ConfigError.
+    The map follows from ``problem.interval_kind`` and, for "de", the DE
+    profile's kappa; a method without a declared profile is a ConfigError.
     """
-    if method == "de":
-        profile, kappa = problem.de_profile, problem.kappa
-    elif method == "se":
-        profile, kappa = problem.se_profile, 1.0
-    else:
+    if method not in ("se", "de"):
         raise ValueError(f"unknown method {method!r}; expected 'se' or 'de'")
+    profile = problem.de_profile if method == "de" else problem.se_profile
     if profile is None:
         raise ConfigError(f"problem {problem.name!r} declares no {method} transformation data")
+    kappa = profile.kappa if method == "de" else 1.0
     jet = map_catalog(problem.interval_kind, method.upper(), kappa)
     return transform_problem(jet, problem.q, problem.rho)
 
@@ -259,12 +256,12 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
         raise ConfigError(f"kappa scales only the DE map, which requires decay constants {missing_de}")
 
     try:
-        de_profile = DecayProfile.de(
+        de_profile = DEProfile(
             beta_left=fields["beta_l"], beta_right=fields["beta_r"],
             gamma_left=fields["gamma_l"], gamma_right=fields["gamma_r"],
-            d=fields["d"],
+            d=fields["d"], kappa=fields.get("kappa", 1.0),
         ) if have_de else None
-        se_profile = DecayProfile.se(
+        se_profile = SEProfile(
             alpha=fields["alpha_se"], rho_decay=fields["rho_decay_se"], d=fields["d"],
         ) if have_se else None
         return SturmLiouvilleProblem(
@@ -272,7 +269,6 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
             interval_kind=interval_kind,
             q=compiled["q"],
             rho=compiled["rho"],
-            kappa=fields.get("kappa", 1.0),
             de_profile=de_profile,
             se_profile=se_profile,
             reference=None,

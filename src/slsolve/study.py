@@ -3,7 +3,7 @@
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -15,10 +15,6 @@ from .problems import SturmLiouvilleProblem, reference_eigenvalue, transformed
 # Errors at or below this, relative to max(1, |mu|), are double-precision
 # plateau noise and carry no rate information.
 PLATEAU_FLOOR = 1e-13
-
-CSV_HEADER = ("method", "problem", "n", "M", "N", "h", "size",
-              "eig_index", "mu", "abs_error", "succ_error", "runtime_ms")
-
 
 class StudyError(RuntimeError):
     """An assembly or solver failure, annotated with its study context."""
@@ -40,7 +36,8 @@ class StudyRecord:
 
     Exactly one of abs_error / succ_error is populated, depending on
     whether a reference eigenvalue exists; the first record of a
-    reference-free study has neither.
+    reference-free study has neither.  The fields, in order, are the CSV
+    columns.
     """
 
     method: str
@@ -58,6 +55,9 @@ class StudyRecord:
 
     def error(self) -> Optional[float]:
         return self.abs_error if self.abs_error is not None else self.succ_error
+
+
+CSV_HEADER = tuple(field.name for field in fields(StudyRecord))
 
 
 def convergence_study(problem: SturmLiouvilleProblem, method: str,
@@ -85,18 +85,16 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
                          f"got {eig_indices!r}")
     count = max(eig_indices)
     tp = transformed(problem, method)
+    refs = {i: reference_eigenvalue(problem, i) for i in eig_indices}
+    profile = problem.se_profile if method == "se" else problem.de_profile
+    mesh_for = se_mesh if method == "se" else de_mesh if balanced else de_mesh_symmetric
     records = []
     # The lowest `count` eigenvalues of the last two levels: the last one
     # gives successive differences, and both warm-start the solve from the
     # third level on.
     last = before = None
     for n in ns:
-        if method == "se":
-            mesh = se_mesh(problem.se_profile, n)
-        elif balanced:
-            mesh = de_mesh(problem.de_profile, n)
-        else:
-            mesh = de_mesh_symmetric(problem.de_profile, n)
+        mesh = mesh_for(profile, n)
         if count > mesh.size:
             raise StudyError(
                 problem.name, method, n,
@@ -112,7 +110,7 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         for i in eig_indices:
             mu = float(spectrum.eigenvalues[i - 1])
-            ref = reference_eigenvalue(problem, i)
+            ref = refs[i]
             abs_error = abs(mu - ref) if ref is not None else None
             succ_error = None
             if ref is None and last is not None:
@@ -209,8 +207,4 @@ def emit_csv(records: Sequence[StudyRecord], handle) -> None:
     writer = csv.writer(handle)
     writer.writerow(CSV_HEADER)
     for r in records:
-        writer.writerow([
-            r.method, r.problem, r.n, r.M, r.N, _format_value(r.h), r.size,
-            r.eig_index, _format_value(r.mu), _format_value(r.abs_error),
-            _format_value(r.succ_error), _format_value(r.runtime_ms),
-        ])
+        writer.writerow([_format_value(getattr(r, name)) for name in CSV_HEADER])

@@ -199,6 +199,26 @@ def test_bad_config_file_line_reported(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,code", [
+    (["--method", "de"], 0),
+    (["--method", "de", "--balanced"], 2),
+    (["--compare"], 2),
+], ids=["de", "de-balanced", "compare"])
+def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, flags, code):
+    # beta_l / beta_r overflows: the balanced mesh's dependent index is
+    # infinite, and the symmetric mesh never forms it.
+    config = tmp_path / "tiny-beta.slp"
+    config.write_text("interval = unit\nmap = de\nq = 48.75/x^2\nrho = 1\n"
+                      f"d = {math.pi / 2}\nbeta_l = 7\nbeta_r = 5e-324\ngamma_l = 1\n"
+                      "gamma_r = 1\nalpha_se = 1\nrho_decay_se = 1\n")
+    assert main(["--problem", str(config), *flags, "--n-min", "2", "--n-max", "4",
+                 "--output", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "configuration error: the DE mesh's dependent truncation index at n=2" in err
+        assert "beta_right=5e-324" in err
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     # q undefined at negative collocation points; passes config loading
     config = tmp_path / "exploding.slp"

@@ -482,10 +482,7 @@ def test_warm_route_is_no_less_accurate_than_the_dense_route(monkeypatch, name, 
     assert dense <= 1e-11
 
 
-def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
-    # A work count, not a timing: every level of the Bessel balanced study
-    # from the third on and of size >= WARM_MIN_SIZE factors A - s D^2 once
-    # and makes no dense solve.
+def _count_factorizations_and_dense_solves(monkeypatch):
     calls = {"sytrf": 0, "dense": 0}
 
     def counted(key, fn):
@@ -497,10 +494,42 @@ def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
     monkeypatch.setattr(eigensolve, "_sytrf", counted("sytrf", eigensolve._sytrf))
     for route in ("_solve_congruence", "_solve_inverted"):
         monkeypatch.setattr(eigensolve, route, counted("dense", getattr(eigensolve, route)))
+    return calls
+
+
+def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
+    # A work count, not a timing: every level of the Bessel balanced study
+    # from the third on and of size >= WARM_MIN_SIZE factors A - s D^2 once
+    # and makes no dense solve.
+    calls = _count_factorizations_and_dense_solves(monkeypatch)
     records = convergence_study(builtin("bessel", n=7), "de", range(2, 41), balanced=True)
     warm = sum(1 for r in records[2:] if r.size >= WARM_MIN_SIZE)
     assert warm >= 20
     assert calls == {"sytrf": warm, "dense": len(records) - warm}
+
+
+def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, caplog):
+    # A work count: Bessel SE with three eigenvalues still moves by 0.1-0.5
+    # per level at sizes 65-119, so a shift sits far from its guess against
+    # the gap to the nearest other guess and four solves cannot stagnate.
+    # Those levels go dense with no factorization, and read as they would
+    # without the warm route.
+    problem, ns = builtin("bessel", n=7), range(2, 74)
+    calls = _count_factorizations_and_dense_solves(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        records = convergence_study(problem, "se", ns, (1, 2, 3))
+    unserved = [r.getMessage() for r in caplog.records if "warm start" in r.getMessage()]
+    skipped = {int(m.split(":")[0].split()[1]) for m in unserved if "warm start skipped" in m}
+    tried = [r.size for r in records[6::3] if r.size >= WARM_MIN_SIZE]
+    assert len(skipped) >= 20
+    served = len(tried) - len(unserved)
+    assert served >= 5
+    assert calls["dense"] == len(ns) - served
+    assert calls["sytrf"] <= 3 * (len(tried) - len(skipped))
+    monkeypatch.setattr(eigensolve, "WARM_MIN_SIZE", math.inf)
+    dense = convergence_study(problem, "se", ns, (1, 2, 3))
+    assert [r.mu for r in records if r.size in skipped] == \
+        [r.mu for r in dense if r.size in skipped]
 
 
 def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(monkeypatch, caplog):

@@ -1,9 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slsolve import DecayProfile, MeshConfig, de_mesh, de_mesh_symmetric, se_mesh
-from slsolve.meshing import lambert_w0
+from slsolve import DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric, se_mesh
 
 
 def bisect_w(target, lo=0.0, hi=20.0, tol=5e-15):
@@ -17,20 +17,23 @@ def bisect_w(target, lo=0.0, hi=20.0, tol=5e-15):
     return 0.5 * (lo + hi)
 
 
-BESSEL7 = DecayProfile.de(beta_left=7.0, beta_right=0.5, gamma_left=1.0,
+BESSEL7 = DEProfile(beta_left=7.0, beta_right=0.5, gamma_left=1.0,
                           gamma_right=1.0, d=math.pi / 2.0)
-LAGUERRE3 = DecayProfile.de(beta_left=1.5, beta_right=1.0 / 32.0, gamma_left=1.0,
+LAGUERRE3 = DEProfile(beta_left=1.5, beta_right=1.0 / 32.0, gamma_left=1.0,
                             gamma_right=2.0, d=math.pi / 4.0)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        DecayProfile.de(beta_left=0.0, beta_right=1.0, gamma_left=1.0, gamma_right=1.0, d=1.0)
-    with pytest.raises(ValueError):
-        DecayProfile.se(alpha=-1.0, rho_decay=1.0, d=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="DE profile needs positive beta_left"):
+        DEProfile(beta_left=0.0, beta_right=1.0, gamma_left=1.0, gamma_right=1.0, d=1.0)
+    with pytest.raises(ValueError, match="SE profile needs positive alpha"):
+        SEProfile(alpha=-1.0, rho_decay=1.0, d=1.0)
+    with pytest.raises(ValueError, match="exceeds pi/"):
         # strip wider than pi / (2 gamma)
-        DecayProfile.de(beta_left=1.0, beta_right=1.0, gamma_left=2.0, gamma_right=2.0, d=1.0)
+        DEProfile(beta_left=1.0, beta_right=1.0, gamma_left=2.0, gamma_right=2.0, d=1.0)
+    with pytest.raises(ValueError, match="strip half-width must be positive"):
+        SEProfile(alpha=1.0, rho_decay=1.0, d=math.inf)
+    assert BESSEL7.kappa == 1.0
 
 
 def test_mesh_config_validation():
@@ -42,7 +45,7 @@ def test_mesh_config_validation():
 
 
 def test_symmetric_profile_gives_equal_truncation():
-    profile = DecayProfile.de(beta_left=0.025, beta_right=0.025, gamma_left=2.0,
+    profile = DEProfile(beta_left=0.025, beta_right=0.025, gamma_left=2.0,
                               gamma_right=2.0, d=math.pi / 4.0)
     for n in (1, 5, 17):
         mesh = de_mesh(profile, n)
@@ -87,7 +90,7 @@ def test_mesh_size_decreases_in_n():
 
 def test_mirror_swap():
     def swap(p):
-        return DecayProfile.de(beta_left=p.beta_right, beta_right=p.beta_left,
+        return DEProfile(beta_left=p.beta_right, beta_right=p.beta_left,
                                gamma_left=p.gamma_right, gamma_right=p.gamma_left, d=p.d)
 
     # Left-governed profiles: Bessel by the larger beta on equal gammas,
@@ -102,14 +105,14 @@ def test_mirror_swap():
             assert a.M == b.N == n
             # ceiling (left-governed) vs floor (right-governed) may differ by one
             assert a.N - 1 <= b.M <= a.N
-            w = lambert_w0(math.pi * left.d * gamma * n / beta)
+            w = gamma * n * a.h  # h = W / (gamma n)
             inner = gamma / left.gamma_right * n * (1.0 + math.log(beta / left.beta_right) / w)
             assert a.N == max(math.ceil(inner), 0)
             assert b.M == max(math.floor(inner), 0)
 
 
 def test_dependent_index_clamps_at_zero():
-    profile = DecayProfile.de(beta_left=100.0, beta_right=1e-4, gamma_left=1.0,
+    profile = DEProfile(beta_left=100.0, beta_right=1e-4, gamma_left=1.0,
                               gamma_right=2.0, d=math.pi / 4.0)
     mesh = de_mesh(profile, 2)
     assert mesh.N == 2
@@ -125,19 +128,19 @@ def test_symmetric_variant_keeps_governing_mesh_size():
 
 
 def test_se_mesh_unit_case():
-    profile = DecayProfile.se(alpha=math.pi * 0.3, rho_decay=1.0, d=0.3)
+    profile = SEProfile(alpha=math.pi * 0.3, rho_decay=1.0, d=0.3)
     assert se_mesh(profile, 1).h == pytest.approx(1.0, rel=1e-14)
 
 
 def test_se_mesh_square_root_form():
-    profile = DecayProfile.se(alpha=2.0, rho_decay=1.0, d=0.7)
+    profile = SEProfile(alpha=2.0, rho_decay=1.0, d=0.7)
     for N in (4, 25):
         assert se_mesh(profile, N).h == pytest.approx(math.sqrt(math.pi * 0.7 / (2.0 * N)), rel=1e-14)
 
 
 def test_se_mesh_gaussian_decay_case():
     # alpha = 1/2, rho = 2, d = sqrt(0.1): h = (4 pi sqrt(0.1) / N^2)^(1/3)
-    profile = DecayProfile.se(alpha=0.5, rho_decay=2.0, d=math.sqrt(0.1))
+    profile = SEProfile(alpha=0.5, rho_decay=2.0, d=math.sqrt(0.1))
     mesh = se_mesh(profile, 10)
     expected = (4.0 * math.pi * math.sqrt(0.1) / 100.0) ** (1.0 / 3.0)
     assert mesh.h == pytest.approx(expected, rel=1e-14)
@@ -145,9 +148,53 @@ def test_se_mesh_gaussian_decay_case():
 
 
 def test_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
+    se = SEProfile(alpha=1.0, rho_decay=1.0, d=1.0)
+    with pytest.raises(ValueError, match="se_mesh requires an SE decay profile"):
         se_mesh(BESSEL7, 5)
-    with pytest.raises(ValueError):
-        de_mesh(DecayProfile.se(alpha=1.0, rho_decay=1.0, d=1.0), 5)
-    with pytest.raises(ValueError):
-        de_mesh(BESSEL7, 0)
+    for mesh in (de_mesh, de_mesh_symmetric):
+        with pytest.raises(ValueError, match="de_mesh requires a DE decay profile"):
+            mesh(se, 5)
+        with pytest.raises(ValueError):
+            mesh(BESSEL7, 0)
+
+
+def test_overflowing_dependent_index_is_a_value_error():
+    # beta_left / beta_right overflows, so the dependent index is infinite.
+    profile = DEProfile(beta_left=7.0, beta_right=5e-324, gamma_left=1.0,
+                        gamma_right=1.0, d=math.pi / 2.0)
+    with pytest.raises(ValueError, match=r"dependent truncation index at n=3 is not finite "
+                                         r"for DEProfile\(beta_left=7.0, beta_right=5e-324"):
+        de_mesh(profile, 3)
+    # The symmetric mesh never forms the dependent index.
+    assert de_mesh_symmetric(profile, 3) == de_mesh_symmetric(BESSEL7, 3)
+
+
+def test_underflowing_mesh_equation_is_a_value_error():
+    # pi d gamma n / beta underflows to 0, so W = h = 0.
+    profile = DEProfile(beta_left=1e300, beta_right=1e300, gamma_left=1.0,
+                        gamma_right=1.0, d=1e-300)
+    for mesh in (de_mesh, de_mesh_symmetric):
+        with pytest.raises(ValueError):
+            mesh(profile, 1)
+    with pytest.raises(ValueError, match="SE mesh size at N=10 is not finite"):
+        se_mesh(SEProfile(alpha=1e300, rho_decay=2.0, d=1.0), 10)
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(beta_left=positive, beta_right=positive, gamma_left=positive, gamma_right=positive,
+       d=positive, alpha=positive, rho_decay=positive, n=st.integers(1, 10**6))
+def test_any_positive_constants_give_a_mesh_or_a_value_error(beta_left, beta_right, gamma_left,
+                                                            gamma_right, d, alpha, rho_decay, n):
+    de = (beta_left, beta_right, gamma_left, gamma_right, d)
+    for make in (lambda: de_mesh(DEProfile(*de), n),
+                 lambda: de_mesh_symmetric(DEProfile(*de), n),
+                 lambda: se_mesh(SEProfile(alpha, rho_decay, d), n)):
+        try:
+            config = make()
+        except ValueError:
+            continue
+        assert math.isfinite(config.h) and config.h > 0.0
+        assert config.M >= 0 and config.N >= 0

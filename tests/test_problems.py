@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import (ConfigError, DecayProfile, SturmLiouvilleProblem, assemble,
+from slsolve import (ConfigError, DEProfile, SEProfile, SturmLiouvilleProblem, assemble,
                      builtin, de_mesh, parse_problem_config,
                      reference_eigenvalue, solve_generalized, transformed)
-from slsolve.problems import bessel_zero
 
 
 def bessel_series(n, x, terms=80):
@@ -32,6 +31,11 @@ def bisect_zero(n, lo, hi, tol=1e-14):
     return 0.5 * (lo + hi)
 
 
+def bessel_zero(n, m):
+    """The m-th zero of J_n, from the builtin's reference eigenvalue."""
+    return math.sqrt(reference_eigenvalue(builtin("bessel", n=n), m))
+
+
 def test_bessel_zero_against_series_bisection():
     oracle_11 = bisect_zero(1, 3.0, 4.5)
     assert oracle_11 == pytest.approx(3.8317059702075123, rel=1e-12)
@@ -45,13 +49,6 @@ def test_bessel_zero_against_series_bisection():
 def test_bessel_zeros_increase():
     zeros = [bessel_zero(7, m) for m in range(1, 6)]
     assert all(b > a for a, b in zip(zeros, zeros[1:]))
-
-
-def test_bessel_zero_rejects_bad_input():
-    with pytest.raises(ValueError):
-        bessel_zero(0, 1)
-    with pytest.raises(ValueError):
-        bessel_zero(1, 0)
 
 
 def test_builtin_bessel_coefficients():
@@ -77,11 +74,12 @@ def test_builtin_laguerre_coefficients():
 def test_builtin_singular_coefficients():
     p = builtin("singular")
     assert p.rho(0.0) == 1.0
-    assert p.kappa == pytest.approx(math.sqrt(0.2))
+    assert p.de_profile.kappa == pytest.approx(math.sqrt(0.2))
     assert p.de_profile.d == pytest.approx(math.pi / 4.0)
     assert p.de_profile.beta_left == pytest.approx(0.2 / 8.0)
     plain = builtin("singular", kappa=1.0)
     assert plain.name == "singular"
+    assert plain.de_profile.kappa == 1.0
     assert plain.de_profile.d == pytest.approx(math.asin(math.sqrt(0.1)))
     assert p.name == "singular-adapted"
 
@@ -99,21 +97,36 @@ def test_builtin_parameter_validation():
         builtin("bessel", alpha=1.0)
 
 
-def test_de_profile_needs_a_catalog_map():
-    def problem(interval_kind, kappa, **profiles):
-        return SturmLiouvilleProblem(name="p", interval_kind=interval_kind, q=lambda x: 0.0,
-                                     rho=lambda x: 1.0, kappa=kappa, **profiles)
+def _problem(interval_kind, **profiles):
+    return SturmLiouvilleProblem(name="p", interval_kind=interval_kind, q=lambda x: 0.0,
+                                 rho=lambda x: 1.0, **profiles)
 
-    de = DecayProfile.de(beta_left=1.0, beta_right=1.0, gamma_left=1.0, gamma_right=1.0, d=1.0)
+
+def _de(kappa=1.0):
+    return DEProfile(beta_left=1.0, beta_right=1.0, gamma_left=1.0, gamma_right=1.0, d=1.0,
+                     kappa=kappa)
+
+
+SE = SEProfile(alpha=1.0, rho_decay=1.0, d=1.0)
+
+
+def test_de_profile_needs_a_catalog_map():
     for interval_kind, kappa, message in (("unit", 0.5, "kappa"), ("half_line", 2.0, "kappa"),
                                           ("real_line", 0.0, "kappa"),
                                           ("circle", 1.0, "interval kind")):
         with pytest.raises(ValueError, match=message):
-            problem(interval_kind, kappa, de_profile=de)
-    assert problem("real_line", 0.5, de_profile=de).kappa == 0.5
-    # an SE-only problem is accepted: kappa is read only by the DE map
-    se = DecayProfile.se(alpha=1.0, rho_decay=1.0, d=1.0)
-    assert problem("unit", 0.5, se_profile=se).de_profile is None
+            _problem(interval_kind, de_profile=_de(kappa))
+    assert _problem("real_line", de_profile=_de(0.5)).de_profile.kappa == 0.5
+
+
+def test_every_declared_profile_needs_its_type_and_a_catalog_map():
+    with pytest.raises(ValueError, match="interval kind"):
+        _problem("circle", se_profile=SE)
+    with pytest.raises(ValueError, match="de_profile must be of type DEProfile, got SEProfile"):
+        _problem("unit", de_profile=SE)
+    with pytest.raises(ValueError, match="se_profile must be of type SEProfile, got DEProfile"):
+        _problem("unit", se_profile=_de())
+    assert _problem("unit", se_profile=SE).de_profile is None
 
 
 def test_reference_eigenvalues():
