@@ -132,7 +132,7 @@ def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
     failure ahead of a weight failure at the same k.
     """
     h = mesh.h
-    t = np.arange(-mesh.M, mesh.N + 1, dtype=float) * h
+    t = mesh.nodes
     failures = []
     try:
         qvals = tp.qtilde(t)
@@ -212,7 +212,8 @@ def _solve_inverted(A, w, compute_vectors, count):
     return Spectrum(eigenvalues=mu, eigenvectors=V[:, ::-1] / np.sqrt(theta))
 
 
-_sytrf, _sytrs = scipy.linalg.get_lapack_funcs(("sytrf", "sytrs"), dtype=np.float64)
+_sytrf, _sytrf_lwork, _sytrs = scipy.linalg.get_lapack_funcs(
+    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
 _EPS = np.finfo(float).eps
 # Inverse iteration solves per eigenvalue before the warm route gives up.
 _SOLVES = 4
@@ -247,12 +248,15 @@ def _solve_warm(A, w, guess, moved):
                        n, shift, i + 1, shift - g, nearest)
             return None
     abs_a = np.abs(A)
+    # scipy's default workspace, n, is too small for the blocked
+    # factorization and leaves LAPACK the unblocked ?sytf2.
+    lwork = int(_sytrf_lwork(n)[0])
     mu = np.empty(len(guess))
     lower = -np.inf
     for i, shift in enumerate(shifts, start=1):
         K = A.copy()
         K.reshape(-1)[:: n + 1] -= shift * w
-        ldu, ipiv, info = _sytrf(K.T, overwrite_a=1)
+        ldu, ipiv, info = _sytrf(K.T, lwork=lwork, overwrite_a=1)
         pairs = ipiv < 0  # both rows of each 2x2 pivot
         below = np.count_nonzero(ldu.diagonal()[~pairs] < 0.0) + np.count_nonzero(pairs) // 2
         if info != 0 or below != i:

@@ -20,6 +20,7 @@ markedly better at moderate n.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.special
 
 _D_BOUND_SLACK = 1e-12
@@ -87,6 +88,11 @@ class MeshConfig:
     @property
     def size(self) -> int:
         return self.M + self.N + 1
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The collocation points k*h, k = -M..N."""
+        return np.arange(-self.M, self.N + 1, dtype=float) * self.h
 
 
 def _de_governing(profile: DEProfile, n: int):

@@ -36,7 +36,8 @@ class SturmLiouvilleProblem:
     profile is declared.
 
     ``q`` and ``rho`` are called with a numpy array of x, all points of a
-    mesh at once, and must return an array of its shape or a constant.
+    mesh at once (of every level at once in a convergence study), and
+    must return an array of its shape or a constant.
     ``transformed`` samples rho on an array, so a scalar-only rho raises
     its own error there; a scalar-only q raises at the first assembly.
     Decay profiles are declared per problem rather than derived: they

@@ -9,6 +9,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .eigensolve import assemble, solve_generalized
+from .maps import TransformedProblem
 from .meshing import de_mesh, de_mesh_symmetric, se_mesh
 from .problems import SturmLiouvilleProblem, reference_eigenvalue, transformed
 
@@ -72,11 +73,39 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     problem has a reference eigenvalue and successive-difference (against
     the previous level in the grid) otherwise.
 
+    The study runs in three steps.  It plans: every level's mesh is built
+    and checked against the highest index before anything is evaluated,
+    so a level that cannot mesh, or is too small, raises before any solve.
+    It evaluates the transformed coefficient and weight once each, on the
+    nodes of all levels together, inside the first level's timed window.
+    Then it assembles and solves level by level, each level reading its
+    slice of that evaluation.  When the evaluation on all nodes raises,
+    each level evaluates its own nodes instead, so the failing level
+    raises the StudyError it raises on its own, after the levels before
+    it have solved.
+
     From the third level on, each solve is warm-started from the previous
     level's eigenvalues and how far they moved (``near`` of
     ``solve_generalized``), which spares pencils of size WARM_MIN_SIZE and
     up their dense solve once the series has converged.
     """
+    return _run(_plan(problem, method, n_range, eig_indices, balanced))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One study's levels, meshed and index-checked, before any evaluation."""
+
+    problem: SturmLiouvilleProblem
+    method: str
+    eig_indices: Sequence[int]
+    tp: TransformedProblem
+    refs: dict
+    ns: list
+    meshes: list
+
+
+def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("empty refinement range")
@@ -88,11 +117,7 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     refs = {i: reference_eigenvalue(problem, i) for i in eig_indices}
     profile = problem.se_profile if method == "se" else problem.de_profile
     mesh_for = se_mesh if method == "se" else de_mesh if balanced else de_mesh_symmetric
-    records = []
-    # The lowest `count` eigenvalues of the last two levels: the last one
-    # gives successive differences, and both warm-start the solve from the
-    # third level on.
-    last = before = None
+    meshes = []
     for n in ns:
         mesh = mesh_for(profile, n)
         if count > mesh.size:
@@ -100,8 +125,52 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
                 problem.name, method, n,
                 ValueError(f"eigenvalue index {count} exceeds matrix dimension {mesh.size}"),
             )
-        near = None if before is None else (last, np.abs(last - before))
-        start = time.perf_counter()
+        meshes.append(mesh)
+    return _Plan(problem, method, tuple(eig_indices), tp, refs, ns, meshes)
+
+
+def _serving(values):
+    """A coefficient callable that returns ``values``, for a mesh of their node count."""
+    def coefficient(t):
+        if t.shape != values.shape:
+            raise ValueError(f"coefficients were evaluated at {values.size} nodes, "
+                             f"not at {t.size}")
+        return values
+    return coefficient
+
+
+def _level_problems(tp: TransformedProblem, meshes) -> list:
+    """Per mesh, a TransformedProblem serving its slice of one evaluation of ``tp``.
+
+    ``tp.qtilde`` and ``tp.weight`` are called once each, on the nodes of
+    all meshes in a row; they act on each node alone, so a slice is bitwise
+    what the mesh's own nodes give.  If either call raises, every mesh gets
+    ``tp`` itself and evaluates its own nodes, so whatever raised is raised
+    again by the level it belongs to.
+    """
+    nodes = [mesh.nodes for mesh in meshes]
+    t = np.concatenate(nodes)
+    try:
+        qvals, wvals = tp.qtilde(t), tp.weight(t)
+    except Exception:
+        return [tp] * len(meshes)
+    ends = np.cumsum([len(x) for x in nodes])[:-1]
+    return [TransformedProblem(qtilde=_serving(q), weight=_serving(w))
+            for q, w in zip(np.split(qvals, ends), np.split(wvals, ends))]
+
+
+def _run(plan: _Plan) -> list:
+    problem, method, eig_indices = plan.problem, plan.method, plan.eig_indices
+    count = max(eig_indices)
+    records = []
+    # The last level's lowest `count` eigenvalues give successive
+    # differences; with how far they moved from the level before, they
+    # warm-start the solve from the third level on.
+    last = near = None
+    # The first level's time includes the evaluation for every level.
+    start = time.perf_counter()
+    level_problems = _level_problems(plan.tp, plan.meshes)
+    for n, mesh, tp in zip(plan.ns, plan.meshes, level_problems):
         try:
             system = assemble(tp, mesh)
             spectrum = solve_generalized(system, count=count, near=near)
@@ -110,7 +179,7 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         for i in eig_indices:
             mu = float(spectrum.eigenvalues[i - 1])
-            ref = refs[i]
+            ref = plan.refs[i]
             abs_error = abs(mu - ref) if ref is not None else None
             succ_error = None
             if ref is None and last is not None:
@@ -120,7 +189,10 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
                 h=mesh.h, size=mesh.size, eig_index=i, mu=mu,
                 abs_error=abs_error, succ_error=succ_error, runtime_ms=elapsed_ms,
             ))
-        before, last = last, spectrum.eigenvalues
+        if last is not None:
+            near = (spectrum.eigenvalues, np.abs(spectrum.eigenvalues - last))
+        last = spectrum.eigenvalues
+        start = time.perf_counter()
     return records
 
 
@@ -135,6 +207,9 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
     * "de" (symmetric truncation),
     * "de-balanced" when the DE tails are unequal,
     * "de-adapted" for an optional rescaled-map companion problem.
+
+    Every series is planned, as ``convergence_study`` plans, before any
+    of them is solved, so a series that cannot mesh costs no solve.
     """
     ns = list(n_range)
     # (label, problem, method, balanced) of each applicable series, all
@@ -154,8 +229,9 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
         raise ValueError(
             f"problem {problem.name!r} declares only one method; nothing to compare"
         )
-    return {label: convergence_study(p, method, ns, (eig_index,), balanced=balanced)
-            for label, p, method, balanced in runs}
+    plans = [(label, _plan(p, method, ns, (eig_index,), balanced))
+             for label, p, method, balanced in runs]
+    return {label: _run(plan) for label, plan in plans}
 
 
 def rate_fit(records: Sequence[StudyRecord]):

@@ -37,7 +37,8 @@ def test_traced_study_records_every_layer_span():
         undo()
     assert len(records) == 4
     assert [name for name in SPANS if tracer.calls[name] == 0] == []
-    assert tracer.count["maps.points"] == 4
+    # A study evaluates its coefficients once, on the nodes of all levels.
+    assert tracer.count["maps.points"] == 1
     # undone: the package's own functions are back in place
     assert not hasattr(study.assemble, "__wrapped__")
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from slsolve import study
 from slsolve.cli import main
 
 
@@ -204,9 +205,13 @@ def test_bad_config_file_line_reported(tmp_path, capsys):
     (["--method", "de", "--balanced"], 2),
     (["--compare"], 2),
 ], ids=["de", "de-balanced", "compare"])
-def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, flags, code):
+def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, monkeypatch, flags, code):
     # beta_l / beta_r overflows: the balanced mesh's dependent index is
     # infinite, and the symmetric mesh never forms it.
+    solves = []
+    real = study.solve_generalized
+    monkeypatch.setattr(study, "solve_generalized",
+                        lambda *args, **kwargs: solves.append(args) or real(*args, **kwargs))
     config = tmp_path / "tiny-beta.slp"
     config.write_text("interval = unit\nmap = de\nq = 48.75/x^2\nrho = 1\n"
                       f"d = {math.pi / 2}\nbeta_l = 7\nbeta_r = 5e-324\ngamma_l = 1\n"
@@ -217,6 +222,23 @@ def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, flags, code):
     if code == 2:
         assert "configuration error: the DE mesh's dependent truncation index at n=2" in err
         assert "beta_right=5e-324" in err
+        # Every series is meshed before any solves, --compare's se and de too.
+        assert solves == []
+
+
+@pytest.mark.parametrize("n_min,n_max", [(1, 1), (1, 3), (4, 4)])
+def test_refinement_range_bounds_are_inclusive(tmp_path, n_min, n_max):
+    out = tmp_path / "x.csv"
+    assert main(["--problem", "bessel", "--method", "de", "--n-min", str(n_min),
+                 "--n-max", str(n_max), "--output", str(out)]) == 0
+    assert [int(row["n"]) for row in read_rows(out)] == list(range(n_min, n_max + 1))
+
+
+@pytest.mark.parametrize("n_min,n_max", [(0, 3), (5, 4)])
+def test_refinement_range_outside_bounds_is_config_error(tmp_path, capsys, n_min, n_max):
+    assert main(["--problem", "bessel", "--method", "de", "--n-min", str(n_min),
+                 "--n-max", str(n_max), "--output", str(tmp_path / "x.csv")]) == 2
+    assert f"invalid refinement range [{n_min}, {n_max}]" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

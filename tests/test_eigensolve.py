@@ -508,6 +508,22 @@ def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
     assert calls == {"sytrf": warm, "dense": len(records) - warm}
 
 
+def test_warm_factorization_gets_a_blocked_workspace(monkeypatch):
+    # scipy's default workspace, n, leaves LAPACK the unblocked ?sytf2,
+    # two to four times slower at sizes 233-546 with one BLAS thread.
+    sytrf = eigensolve._sytrf
+    workspaces = []
+
+    def spy(a, **kwargs):
+        workspaces.append((a.shape[0], kwargs.get("lwork", a.shape[0])))
+        return sytrf(a, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_sytrf", spy)
+    convergence_study(builtin("bessel", n=7), "de", range(30, 41), balanced=True)
+    assert len(workspaces) >= 8
+    assert all(lwork >= 2 * n for n, lwork in workspaces), workspaces
+
+
 def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, caplog):
     # A work count: Bessel SE with three eigenvalues still moves by 0.1-0.5
     # per level at sizes 65-119, so a shift sits far from its guess against

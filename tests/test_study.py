@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from slsolve import (InsufficientDataError, StudyError, StudyRecord, builtin,
-                     compare_methods, convergence_study, emit_csv, parse_problem_config,
-                     rate_fit)
+from slsolve import (InsufficientDataError, MeshConfig, Spectrum, StudyError, StudyRecord,
+                     TransformedProblem, assemble, builtin, compare_methods,
+                     convergence_study, emit_csv, parse_problem_config, rate_fit,
+                     transformed)
 from slsolve import study
 from slsolve.study import CSV_HEADER
+from test_readme import block
 
 
 def synthetic(ns, errors, method="de", problem="synthetic", mu=1.0):
@@ -232,3 +234,116 @@ def test_study_checks_index_before_assembly(monkeypatch):
     with pytest.raises(StudyError, match="eigenvalue index 6 exceeds matrix dimension 5"):
         convergence_study(builtin("singular"), "de", [2], eig_indices=(1, 6))
     assert assembled == []
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that appends each call's args to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_study_meshes_every_level_before_any_solve(monkeypatch):
+    # (alpha N)^rho overflows from N = 35 on, so only the last level
+    # cannot mesh; the error is se_mesh's own.
+    problem = parse_problem_config(
+        "interval = unit\nmap = se\nq = 48.75/x^2\nrho = 1\nd = 1.5707963267948966\n"
+        "alpha_se = 1\nrho_decay_se = 200\n")
+    with pytest.raises(ValueError) as direct:
+        study.se_mesh(problem.se_profile, 40)
+    assembled = count_calls(monkeypatch, study, "assemble")
+    solved = count_calls(monkeypatch, study, "solve_generalized")
+    with pytest.raises(ValueError) as raised:
+        convergence_study(problem, "se", [2, 3, 40])
+    assert str(raised.value) == str(direct.value)
+    assert "the SE mesh size at N=40 is not finite" in str(direct.value)
+    assert assembled == [] and solved == []
+
+
+def test_study_checks_every_level_index_before_any_solve(monkeypatch):
+    real_mesh = study.de_mesh_symmetric
+
+    def shrinking(profile, n):
+        # The last level is smaller than the highest index asks for.
+        mesh = real_mesh(profile, n)
+        return MeshConfig(h=mesh.h, M=1, N=1) if n == 9 else mesh
+
+    monkeypatch.setattr(study, "de_mesh_symmetric", shrinking)
+    solved = count_calls(monkeypatch, study, "solve_generalized")
+    with pytest.raises(StudyError) as raised:
+        convergence_study(builtin("singular"), "de", [4, 5, 9], eig_indices=(1, 6))
+    assert str(raised.value) == ("problem='singular-adapted' method='de' n=9: "
+                                 "eigenvalue index 6 exceeds matrix dimension 3")
+    assert solved == []
+
+
+LEVELS = (2, 3, 5, 9, 17, 33, 65, 73, 122, 196, 200)
+# Bessel levels end below the first one that fails (ROADMAP item 1):
+# SE from n=74, DE balanced from n=123 and DE from n=197.
+BESSEL_LAST = {("se", False): 73, ("de", True): 122, ("de", False): 196}
+
+
+@pytest.mark.parametrize("method,balanced", [("se", False), ("de", False), ("de", True)],
+                         ids=["se", "de", "de-balanced"])
+@pytest.mark.parametrize("name", ["bessel", "laguerre", "singular", "radial-well"])
+def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, balanced):
+    problem = (parse_problem_config(block("### Problem config files"))
+               if name == "radial-well" else builtin(name))
+    last = BESSEL_LAST[method, balanced] if name == "bessel" else 200
+    evaluations, checked = [], []
+
+    def counted_transformed(p, m):
+        tp = transformed(p, m)
+
+        def qtilde(t):
+            evaluations.append(t.size)
+            return tp.qtilde(t)
+        return TransformedProblem(qtilde=qtilde, weight=tp.weight)
+
+    def checked_assemble(tp, mesh):
+        system = assemble(tp, mesh)
+        alone = assemble(transformed(problem, method), mesh)
+        assert system.matrix.tobytes() == alone.matrix.tobytes()
+        assert system.weights.tobytes() == alone.weights.tobytes()
+        checked.append(mesh.size)
+        return system
+
+    def no_solve(system, count, near):
+        # The systems are what is compared; their spectra follow from them.
+        return Spectrum(eigenvalues=np.arange(1.0, count + 1.0))
+
+    monkeypatch.setattr(study, "transformed", counted_transformed)
+    monkeypatch.setattr(study, "assemble", checked_assemble)
+    monkeypatch.setattr(study, "solve_generalized", no_solve)
+    ns = [n for n in LEVELS if n <= last]
+    records = convergence_study(problem, method, ns, eig_indices=(1, 2, 3), balanced=balanced)
+    # One evaluation, on the nodes of every level.
+    assert evaluations == [sum(checked)]
+    assert len(checked) == len(ns) and len(records) == 3 * len(ns)
+
+
+@pytest.mark.parametrize("method,balanced,ns,message", [
+    ("se", False, [72, 73, 74],
+     "problem='bessel' method='se' n=74: coefficient q undefined or non-finite at x=0.0 "
+     "(at t=-19.10956207871615) (index k=-74, t=-19.10956207871615)"),
+    ("de", False, [195, 196, 197],
+     "problem='bessel' method='de' n=197: coefficient q undefined or non-finite at x=0.0 "
+     "(at t=-3.641272862734817) (index k=-197, t=-3.641272862734817)"),
+    ("de", True, [121, 122, 123],
+     "problem='bessel' method='de' n=123: transformed weight must be positive, got 0.0 "
+     "(at t=5.939364117870999) (index k=223, t=5.939364117870999)"),
+], ids=["se", "de", "de-balanced"])
+def test_failing_level_raises_after_the_levels_before_it(monkeypatch, method, balanced, ns,
+                                                         message):
+    # The evaluation on all nodes fails, so each level evaluates its own.
+    solved = count_calls(monkeypatch, study, "solve_generalized")
+    with pytest.raises(StudyError) as raised:
+        convergence_study(builtin("bessel", n=7), method, ns, balanced=balanced)
+    assert str(raised.value) == message
+    assert len(solved) == len(ns) - 1
