@@ -144,7 +144,7 @@ def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
         failures.append((exc.point, 1, DefinitenessError, exc))
     if failures:
         point, _, kind, exc = min(failures, key=lambda f: f[:2])
-        raise kind(str(exc), index=round(point / h), point=point) from exc
+        raise kind(exc.reason, index=round(point / h), point=point) from exc
 
     # -D/h^2, divided in place: x / -(h*h) rounds exactly like -x / (h*h).
     A = diff_matrix(2, mesh.M, mesh.N)

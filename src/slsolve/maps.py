@@ -43,10 +43,14 @@ DECAY_KINDS = ("SE", "DE")
 
 
 class EvaluationError(ValueError):
-    """A transformed-coefficient evaluation failed at a collocation point."""
+    """A transformed-coefficient evaluation failed at a collocation point.
+
+    ``reason`` is the message without the point, which ``point`` holds.
+    """
 
     def __init__(self, message: str, point: float):
         super().__init__(f"{message} (at t={point!r})")
+        self.reason = message
         self.point = point
 
 
@@ -195,32 +199,15 @@ class TransformedProblem:
     ``qtilde(t)`` is 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi)
     and ``weight(t)`` is rho(phi) phi'^2, each on a float numpy array of t,
     with a result of its shape; they are the one way to evaluate the
-    transformed coefficients.  Each calls q or rho once, on the array of
-    all phi(t), and raises EvaluationError at the first entry of t where
-    its result is not finite, or, for the weight, not positive.
+    transformed coefficients.  Each evaluates the map's jet on t and calls
+    q or rho once, on the array of all phi(t), and raises EvaluationError
+    at the first entry of t where its result is not finite, or, for the
+    weight, not positive.  Neither keeps state of its own between calls,
+    so both are safe to share across threads.
     """
 
     qtilde: Callable
     weight: Callable
-
-
-def _remember_last(jet):
-    """``jet`` that reuses its result when called again with the same t.
-
-    Assembly asks for qtilde and then for the weight on one mesh; this
-    lets both share one evaluation of the map.
-    """
-    last = [None]
-
-    def cached(t):
-        key = (t.shape, t.tobytes())
-        hit = last[0]
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        values = jet(t)
-        last[0] = (key, values)
-        return values
-    return cached
 
 
 def transform_problem(jet: Callable, q, rho) -> TransformedProblem:
@@ -231,6 +218,5 @@ def transform_problem(jet: Callable, q, rho) -> TransformedProblem:
     than deep inside an assembly.
     """
     _evaluate(_weight, jet, rho, np.arange(-12, 13) / 4.0)
-    jet = _remember_last(jet)
     return TransformedProblem(qtilde=lambda t: _evaluate(_qtilde, jet, q, t),
                               weight=lambda t: _evaluate(_weight, jet, rho, t))

@@ -24,6 +24,10 @@ import numpy as np
 import scipy.special
 
 _D_BOUND_SLACK = 1e-12
+# The largest pencil size M + N + 1 a mesh may have.  The DE series
+# converge to double precision below size 150; at 4096, A alone takes
+# 128 MiB.  A mesh above it is refused before anything is evaluated.
+MAX_SIZE = 4096
 
 
 def _validate(profile, kind, names):
@@ -73,7 +77,10 @@ class SEProfile:
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Mesh size h together with the truncation indices M (left), N (right)."""
+    """Mesh size h together with the truncation indices M (left), N (right).
+
+    The pencil size M + N + 1 must not exceed MAX_SIZE.
+    """
 
     h: float
     M: int
@@ -84,6 +91,9 @@ class MeshConfig:
             raise ValueError(f"mesh size must be positive, got h={self.h!r}")
         if self.M < 0 or self.N < 0:
             raise ValueError(f"truncation indices must be nonnegative, got M={self.M}, N={self.N}")
+        if self.size > MAX_SIZE:
+            raise ValueError(f"pencil size {self.size} (M={self.M}, N={self.N}) exceeds "
+                             f"the size budget {MAX_SIZE}")
 
     @property
     def size(self) -> int:

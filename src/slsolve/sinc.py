@@ -6,28 +6,22 @@ points k*h, so the basis itself is never evaluated point by point.
 
 import numpy as np
 
-
-# The order-2 band row[S-1], ..., row[1], row[0], row[1], ..., row[S-1] of
-# the largest size S built so far.  row[k] does not depend on the size, so
-# every smaller matrix reads a window of it.  The band is read-only and is
-# only ever replaced whole, by one assignment, so a concurrent caller sees
-# either the old band or the new one, each complete.
-_band = np.empty(0)
+from .meshing import MAX_SIZE
 
 
-def _order2_band(size: int) -> np.ndarray:
-    global _band
-    band = _band
-    if band.size < 2 * size - 1:
-        # Grow at least geometrically, so an ascending series of levels
-        # builds the band a logarithmic number of times.
-        k = np.arange(max(size, band.size + 1))
-        row = np.where(k % 2 == 0, -2.0, 2.0) / np.square(np.maximum(k, 1))
-        row[0] = -np.pi**2 / 3.0
-        band = np.concatenate((row[:0:-1], row))
-        band.flags.writeable = False
-        _band = band
-    return band
+def _mirrored_first_row() -> np.ndarray:
+    """row[S-1], ..., row[1], row[0], row[1], ..., row[S-1] for S = MAX_SIZE, read-only."""
+    k = np.arange(MAX_SIZE)
+    row = np.where(k % 2 == 0, -2.0, 2.0) / np.square(np.maximum(k, 1))
+    row[0] = -np.pi**2 / 3.0
+    mirrored = np.concatenate((row[:0:-1], row))
+    mirrored.flags.writeable = False
+    return mirrored
+
+
+# row[k] does not depend on the size, so every matrix reads a window of
+# this one array.
+_TOEPLITZ = _mirrored_first_row()
 
 
 def diff_matrix(order: int, M: int, N: int) -> np.ndarray:
@@ -41,8 +35,9 @@ def diff_matrix(order: int, M: int, N: int) -> np.ndarray:
     it stays in the signature for wrappers written against (order, M, N),
     such as the benchmark tracer's hook.
 
-    The matrix is copied out of one read-only band, built for the largest
-    size asked for so far and reused by every smaller one; the result is
+    The matrix is copied out of one read-only array built at import: the
+    first row of the matrix of size ``meshing.MAX_SIZE``, laid out both
+    ways.  A size over that budget raises ValueError.  The result is
     always a fresh, writeable, C-contiguous array.
     """
     if order != 2:
@@ -50,11 +45,11 @@ def diff_matrix(order: int, M: int, N: int) -> np.ndarray:
     if M < 0 or N < 0:
         raise ValueError(f"truncation indices must be nonnegative, got M={M}, N={N}")
     size = M + N + 1
-    band = _order2_band(size)
+    if size > MAX_SIZE:
+        raise ValueError(f"pencil size {size} (M={M}, N={N}) exceeds the size budget {MAX_SIZE}")
     # Entry (j, k) depends on |k - j| only: row j of the matrix is the
-    # window of the band that starts j places left of its centre.
-    step = band.itemsize
-    centre = (band.size - 1) // 2
-    windows = np.ndarray((size, size), buffer=band, offset=centre * step,
+    # window of the mirrored row that starts j places left of its centre.
+    step = _TOEPLITZ.itemsize
+    windows = np.ndarray((size, size), buffer=_TOEPLITZ, offset=(MAX_SIZE - 1) * step,
                          strides=(-step, step))
     return windows.copy()

@@ -67,7 +67,7 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     """Run one method over ascending mesh levels and collect records.
 
     ``method`` is "se" or "de"; ``balanced`` selects the unequal-tail DE
-    truncation (ignored for SE).  For each level the eig_index-th smallest
+    truncation (a ValueError for SE).  For each level the eig_index-th smallest
     generalized eigenvalue is extracted, and only the lowest
     max(eig_indices) are computed; the error column is absolute when the
     problem has a reference eigenvalue and successive-difference (against
@@ -75,7 +75,8 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
 
     The study runs in three steps.  It plans: every level's mesh is built
     and checked against the highest index before anything is evaluated,
-    so a level that cannot mesh, or is too small, raises before any solve.
+    so a level that cannot mesh, is over the size budget
+    ``meshing.MAX_SIZE`` or is too small raises before any solve.
     It evaluates the transformed coefficient and weight once each, on the
     nodes of all levels together, inside the first level's timed window.
     Then it assembles and solves level by level, each level reading its
@@ -112,6 +113,8 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
     if not eig_indices or any(i < 1 for i in eig_indices):
         raise ValueError(f"eigenvalue indices must be a nonempty list of values >= 1, "
                          f"got {eig_indices!r}")
+    if balanced and method == "se":
+        raise ValueError("balanced truncation applies only to the DE method")
     count = max(eig_indices)
     tp = transformed(problem, method)
     refs = {i: reference_eigenvalue(problem, i) for i in eig_indices}

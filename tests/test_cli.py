@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from slsolve import study
+from slsolve import maps, study
 from slsolve.cli import main
+from test_study import count_calls
 
 
 def read_rows(path):
@@ -224,6 +225,27 @@ def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, monkeypatch, f
         assert "beta_right=5e-324" in err
         # Every series is meshed before any solves, --compare's se and de too.
         assert solves == []
+
+
+@pytest.mark.parametrize("flags", [["--method", "de", "--balanced"], ["--compare"]],
+                         ids=["de-balanced", "compare"])
+def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, monkeypatch, flags):
+    # gamma_l = 1000 gives the balanced DE mesh N = 1000 n: sizes 2,003,
+    # 3,004 and 4,005 fit the budget, 5,006 at n = 5 does not.
+    config = tmp_path / "lopsided.slp"
+    config.write_text("interval = realline\nmap = de\nq = x^2\nrho = 1\n"
+                      f"d = {math.pi / 2000}\nbeta_l = 1\nbeta_r = 1\ngamma_l = 1000\n"
+                      "gamma_r = 1\n")
+    evaluated = count_calls(monkeypatch, maps, "_qtilde")
+    solved = count_calls(monkeypatch, study, "solve_generalized")
+    argv = ["--problem", str(config), "--n-min", "2", "--output", str(tmp_path / "x.csv")]
+    assert main([*argv, *flags, "--n-max", "10"]) == 2
+    assert ("configuration error: pencil size 5006 (M=5, N=5000) exceeds the size budget "
+            "4096") in capsys.readouterr().err
+    assert evaluated == [] and solved == []
+    # The counters see the symmetric series, whose sizes are 2n + 1.
+    assert main([*argv, "--method", "de", "--n-max", "3"]) == 0
+    assert len(evaluated) == 1 and len(solved) == 2
 
 
 @pytest.mark.parametrize("n_min,n_max", [(1, 1), (1, 3), (4, 4)])

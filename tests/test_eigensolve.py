@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 import oracles
-from slsolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
+from slsolve import (AssemblyError, DefinitenessError, EvaluationError, GeneralizedSystem,
                      MeshConfig, assemble, builtin, convergence_study, de_mesh,
                      de_mesh_symmetric, map_catalog, se_mesh, solve_generalized,
                      transform_problem, transformed)
@@ -50,10 +50,17 @@ def test_assemble_dimension_and_symmetry():
 def test_assemble_reports_failing_point():
     m = map_catalog("real_line", "SE")
     tp = transform_problem(m, lambda x: np.log(x), lambda x: 1.0)
+    mesh = MeshConfig(h=0.5, M=4, N=4)
     with pytest.raises(AssemblyError) as info:
-        assemble(tp, MeshConfig(h=0.5, M=4, N=4))
+        assemble(tp, mesh)
     assert info.value.index == -4
     assert info.value.point == -2.0
+    # The point is named once; a direct caller of qtilde gets it as t.
+    reason = "coefficient q undefined or non-finite at x=-2.0"
+    assert str(info.value) == reason + " (index k=-4, t=-2.0)"
+    with pytest.raises(EvaluationError) as direct:
+        tp.qtilde(mesh.nodes)
+    assert str(direct.value) == reason + " (at t=-2.0)"
 
 
 def _solve_unit_weights(A):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slsolve import DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric, se_mesh
+from slsolve.meshing import MAX_SIZE
 
 
 def bisect_w(target, lo=0.0, hi=20.0, tol=5e-15):
@@ -42,6 +43,13 @@ def test_mesh_config_validation():
     with pytest.raises(ValueError):
         MeshConfig(h=0.1, M=-1, N=1)
     assert MeshConfig(h=0.1, M=2, N=3).size == 6
+
+
+def test_mesh_config_size_budget():
+    assert MeshConfig(h=0.1, M=MAX_SIZE - 1001, N=1000).size == MAX_SIZE
+    with pytest.raises(ValueError, match=f"pencil size {MAX_SIZE + 1} \\(M={MAX_SIZE - 1000}, "
+                                         f"N=1000\\) exceeds the size budget {MAX_SIZE}$"):
+        MeshConfig(h=0.1, M=MAX_SIZE - 1000, N=1000)
 
 
 def test_symmetric_profile_gives_equal_truncation():

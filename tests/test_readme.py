@@ -1,6 +1,7 @@
 """The README's examples run as written, and what it states about them holds."""
 
 import importlib
+import re
 import shlex
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import slsolve
 from slsolve.expressions import FUNCTIONS
+from slsolve.meshing import MAX_SIZE
 from slsolve import convergence_study, parse_problem_config
 from slsolve.cli import main
 
@@ -75,3 +77,9 @@ def test_expression_functions_are_the_compiler_table():
     text = " ".join(README.split())
     listed = text[text.index("sin, cos,"):].split(".", 1)[0]
     assert [name.strip() for name in listed.split(",")] == list(FUNCTIONS)
+
+
+def test_size_budget_is_the_meshing_constant():
+    # The command-line and config sections state the budget; each is MAX_SIZE.
+    stated = re.findall(r"at most (\d+)\s+\(`meshing\.MAX_SIZE`\)", README)
+    assert len(stated) == 2 and {int(size) for size in stated} == {MAX_SIZE}

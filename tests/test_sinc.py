@@ -1,11 +1,8 @@
-import importlib
-import sys
-import threading
-
 import numpy as np
 import pytest
 
 from slsolve import diff_matrix
+from slsolve.meshing import MAX_SIZE
 
 
 def basis(j, h, x):
@@ -76,6 +73,12 @@ def test_diff_matrix_rejects_bad_arguments():
         diff_matrix(2, -1, 2)
 
 
+def test_diff_matrix_refuses_sizes_over_the_budget():
+    with pytest.raises(ValueError, match=f"pencil size {MAX_SIZE + 1} \\(M=1, N={MAX_SIZE - 1}\\) "
+                                         f"exceeds the size budget {MAX_SIZE}"):
+        diff_matrix(2, 1, MAX_SIZE - 1)
+
+
 def _diff_matrix_dense(M, N):
     # Entry by entry from the offsets |k - j|: the reference for the
     # Toeplitz fill, which must reproduce it bit for bit.
@@ -87,53 +90,9 @@ def _diff_matrix_dense(M, N):
     return out
 
 
-@pytest.mark.parametrize("M,N", [(0, 0), (0, 1), (3, 7), (20, 20), (60, 60), (140, 140)])
+@pytest.mark.parametrize("M,N", [(0, 0), (0, 1), (3, 7), (20, 20), (60, 60), (140, 140),
+                                 (300, 299)])
 def test_diff_matrix_order2_matches_dense_reference(M, N):
     D = diff_matrix(2, M, N)
     assert D.flags.c_contiguous and D.flags.writeable
     assert np.array_equal(D, _diff_matrix_dense(M, N))
-
-
-def test_diff_matrix_order2_exact_in_any_size_order(monkeypatch):
-    # Order 2 reads a band built for the largest size so far: start from
-    # no band, grow it, read smaller sizes out of it, and write into each
-    # result before the next call.
-    monkeypatch.setattr(importlib.import_module("slsolve.sinc"), "_band", np.empty(0))
-    for M, N in [(20, 39), (0, 0), (3, 3), (50, 149), (30, 30), (20, 39)]:
-        D = diff_matrix(2, M, N)
-        assert D.flags.c_contiguous and D.flags.writeable
-        assert np.array_equal(D, _diff_matrix_dense(M, N))
-        D.fill(np.nan)
-
-
-def test_diff_matrix_concurrent_growth_stays_exact():
-    # Threads start together from no band, so they grow and read it at
-    # once, with a short switch interval so they interleave inside
-    # diff_matrix.  A reader must never see a band that is not complete.
-    module = importlib.import_module("slsolve.sinc")
-    orders = [[5, 40, 80, 120], [120, 3, 60, 90], [30, 100, 7, 110], [90, 11, 120, 50]]
-    reference = {s: _diff_matrix_dense(s // 2, s - 1 - s // 2) for order in orders for s in order}
-    mismatches = []
-
-    def worker(barrier, order):
-        barrier.wait(timeout=10)
-        for s in order:
-            if not np.array_equal(diff_matrix(2, s // 2, s - 1 - s // 2), reference[s]):
-                mismatches.append(s)
-
-    saved_band, interval = module._band, sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(100):
-            module._band = np.empty(0)
-            barrier = threading.Barrier(len(orders))
-            threads = [threading.Thread(target=worker, args=(barrier, order)) for order in orders]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-        module._band = saved_band
-    assert mismatches == []

@@ -1,14 +1,17 @@
 import csv
+import dataclasses
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from slsolve import (InsufficientDataError, MeshConfig, Spectrum, StudyError, StudyRecord,
                      TransformedProblem, assemble, builtin, compare_methods,
-                     convergence_study, emit_csv, parse_problem_config, rate_fit,
-                     transformed)
+                     convergence_study, de_mesh, emit_csv, parse_problem_config, rate_fit,
+                     solve_generalized, transformed)
 from slsolve import study
 from slsolve.study import CSV_HEADER
 from test_readme import block
@@ -222,6 +225,14 @@ def test_study_rejects_bad_inputs():
         convergence_study(problem, "qz", [3])
 
 
+def test_balanced_se_study_is_refused_before_any_work(monkeypatch):
+    # Balanced truncation is a DE mesh; SE has only the symmetric one.
+    meshed = count_calls(monkeypatch, study, "se_mesh")
+    with pytest.raises(ValueError, match="balanced truncation applies only to the DE method"):
+        convergence_study(builtin("laguerre", alpha=3.0), "se", [3, 4], balanced=True)
+    assert meshed == []
+
+
 def test_study_checks_index_before_assembly(monkeypatch):
     assembled = []
 
@@ -331,13 +342,13 @@ def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, ba
 @pytest.mark.parametrize("method,balanced,ns,message", [
     ("se", False, [72, 73, 74],
      "problem='bessel' method='se' n=74: coefficient q undefined or non-finite at x=0.0 "
-     "(at t=-19.10956207871615) (index k=-74, t=-19.10956207871615)"),
+     "(index k=-74, t=-19.10956207871615)"),
     ("de", False, [195, 196, 197],
      "problem='bessel' method='de' n=197: coefficient q undefined or non-finite at x=0.0 "
-     "(at t=-3.641272862734817) (index k=-197, t=-3.641272862734817)"),
+     "(index k=-197, t=-3.641272862734817)"),
     ("de", True, [121, 122, 123],
      "problem='bessel' method='de' n=123: transformed weight must be positive, got 0.0 "
-     "(at t=5.939364117870999) (index k=223, t=5.939364117870999)"),
+     "(index k=223, t=5.939364117870999)"),
 ], ids=["se", "de", "de-balanced"])
 def test_failing_level_raises_after_the_levels_before_it(monkeypatch, method, balanced, ns,
                                                          message):
@@ -347,3 +358,49 @@ def test_failing_level_raises_after_the_levels_before_it(monkeypatch, method, ba
         convergence_study(builtin("bessel", n=7), method, ns, balanced=balanced)
     assert str(raised.value) == message
     assert len(solved) == len(ns) - 1
+
+
+def test_studies_and_direct_solves_are_thread_safe():
+    # Threads share one TransformedProblem and run whole studies and
+    # direct solves on it at once, with a short switch interval so they
+    # interleave; every result must be bitwise what a serial run gives.
+    problem = builtin("laguerre", alpha=3.0)
+    tp = transformed(problem, "de")
+    meshes = [de_mesh(problem.de_profile, n) for n in range(2, 16)]
+    assert max(mesh.size for mesh in meshes) < 64
+
+    def direct():
+        out = []
+        for mesh in meshes:
+            system = assemble(tp, mesh)
+            out += [system.matrix.tobytes(), system.weights.tobytes(),
+                    solve_generalized(system, count=3).eigenvalues.tobytes()]
+        return out
+
+    def studies():
+        records = (convergence_study(problem, "de", range(2, 16), (1, 2, 3), balanced=True)
+                   + convergence_study(problem, "se", range(2, 16))
+                   + convergence_study(builtin("singular"), "de", range(2, 16)))
+        return [dataclasses.replace(r, runtime_ms=0.0) for r in records]
+
+    jobs = [direct, studies] * 3
+    serial = [job() for job in jobs]
+    results = [None] * len(jobs)
+
+    def worker(barrier, i):
+        barrier.wait(timeout=10)
+        results[i] = jobs[i]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(len(jobs))
+        threads = [threading.Thread(target=worker, args=(barrier, i)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
