@@ -46,8 +46,10 @@ level stays bitwise what the full solve gives.
 
 A convergence study knows each level's eigenvalues before it solves it:
 the previous level's, to the study's own convergence.  Given them as
-``near``, an eigenvalues-only solve of size WARM_MIN_SIZE or more skips
-the dense routes (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4):
+``near``, an eigenvalues-only solve skips the dense routes from size
+WARM_MIN_SIZE_ONE when it wants one eigenvalue, and from WARM_MIN_SIZE
+when it wants more, since each costs a factorization of its own
+(Parlett, The Symmetric Eigenvalue Problem, ch. 3-4):
 for each wanted mu_i, one Bunch-Kaufman factorization (?sytrf) of
 A - s_i D^2 at a shift just above the guess certifies by Sylvester's
 inertia that exactly i eigenvalues lie below s_i, and inverse iteration
@@ -58,7 +60,11 @@ stagnation in 4 solves falls back to the dense route, whose result is
 then bitwise what it is without ``near``, and so do guesses that predict
 no stagnation, before any factorization.  The floor holds on graded
 pencils too: a residual bound scaled by D^-1 does not, because rounding
-in (A y)_k divided by d_k explodes where the weights are tiny.
+in (A y)_k divided by d_k explodes where the weights are tiny.  The warm
+route also keeps digits that the congruence loses on moderately graded
+pencils: on the Bessel DE symmetric levels of sizes 49-63, the
+congruence's mu_1 is up to 4.5e-11 relative off ?sygvx on the same
+pencil, and the warm one within 7e-15.
 """
 
 import logging
@@ -75,12 +81,14 @@ from .sinc import diff_matrix
 # Weight grading max(w)/min(w) above which the congruence route is
 # abandoned for the shifted factorization route.
 GRADE_LIMIT = 1e8
-# Pencils below this size keep the dense routes even when ``near`` is
-# given.  With one BLAS thread the warm route is the faster one from about
-# size 27 with one wanted eigenvalue, and with three from about size 72 on
-# ungraded pencils (graded ones, tried from size 33 up, gained throughout);
-# below 64 it also leaves the levels a DE study converges on bitwise as
-# they were.
+# Pencils below these sizes keep the dense routes even when ``near`` is
+# given: WARM_MIN_SIZE_ONE when one eigenvalue is wanted, WARM_MIN_SIZE
+# when two or more are.  Medians per warm-started level of the DE studies
+# over n = 2..60, one BLAS thread: with one eigenvalue the warm route took
+# 61-103 us at sizes 32-63 against 89-207 us dense, but 70-81 us at sizes
+# 16-31 against 47-64 us.  With three it took 267-321 us at sizes 32-63
+# against 114-259 us dense.
+WARM_MIN_SIZE_ONE = 32
 WARM_MIN_SIZE = 64
 
 _log = logging.getLogger(__name__)
@@ -303,10 +311,11 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     ``near`` = (g, moved) warm-starts an eigenvalues-only solve: g holds
     the lowest ``count`` eigenvalues of a neighbouring pencil, such as the
     previous level of a convergence study, and moved how far each moved
-    from the level before.  From size WARM_MIN_SIZE on, each g_i is
-    refined by certified shifted inverse iteration instead of a dense
-    solve; any doubt in the certificate falls back to the dense route,
-    and a smaller pencil or ``compute_vectors`` ignores ``near``.
+    from the level before.  From size WARM_MIN_SIZE_ONE on when ``count``
+    is 1, and from size WARM_MIN_SIZE on otherwise, each g_i is refined by
+    certified shifted inverse iteration instead of a dense solve; any
+    doubt in the certificate falls back to the dense route, and a smaller
+    pencil or ``compute_vectors`` ignores ``near``.
     """
     w = np.asarray(system.weights, dtype=float)
     if count is None:
@@ -328,7 +337,8 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
         raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
     if not (A == A.T).all():
         raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
-    if near is not None and not compute_vectors and w.size >= WARM_MIN_SIZE:
+    warm_min_size = WARM_MIN_SIZE_ONE if count == 1 else WARM_MIN_SIZE
+    if near is not None and not compute_vectors and w.size >= warm_min_size:
         guess, moved = near
         if not len(guess) == len(moved) == min(count, w.size):
             raise ValueError(f"near must hold {min(count, w.size)} eigenvalues and moves, "

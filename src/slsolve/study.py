@@ -76,19 +76,22 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     The study runs in three steps.  It plans: every level's mesh is built
     and checked against the highest index before anything is evaluated,
     so a level that cannot mesh, is over the size budget
-    ``meshing.MAX_SIZE`` or is too small raises before any solve.
-    It evaluates the transformed coefficient and weight once each, on the
-    nodes of all levels together, inside the first level's timed window.
-    Then it assembles and solves level by level, each level reading its
-    slice of that evaluation.  When the evaluation on all nodes raises,
+    ``meshing.MAX_SIZE`` or is too small raises before any solve, a
+    ValueError that names the level as a StudyError does.  It evaluates
+    the transformed coefficient and weight once each, on the nodes of all
+    levels together (built in one array expression), inside the first
+    level's timed window.  Then it assembles and solves level by level:
+    one object serves every level its slice of that evaluation, keyed by
+    the level's node count.  When the evaluation on all nodes raises,
     each level evaluates its own nodes instead, so the failing level
     raises the StudyError it raises on its own, after the levels before
     it have solved.
 
     From the third level on, each solve is warm-started from the previous
     level's eigenvalues and how far they moved (``near`` of
-    ``solve_generalized``), which spares pencils of size WARM_MIN_SIZE and
-    up their dense solve once the series has converged.
+    ``solve_generalized``), which spares pencils their dense solve once
+    the series has converged: from size ``eigensolve.WARM_MIN_SIZE_ONE``
+    when the study reads one eigenvalue, from ``WARM_MIN_SIZE`` otherwise.
     """
     return _run(_plan(problem, method, n_range, eig_indices, balanced))
 
@@ -122,7 +125,10 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
     mesh_for = se_mesh if method == "se" else de_mesh if balanced else de_mesh_symmetric
     meshes = []
     for n in ns:
-        mesh = mesh_for(profile, n)
+        try:
+            mesh = mesh_for(profile, n)
+        except ValueError as exc:
+            raise ValueError(f"problem={problem.name!r} method={method!r} n={n}: {exc}") from exc
         if count > mesh.size:
             raise StudyError(
                 problem.name, method, n,
@@ -132,34 +138,68 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
     return _Plan(problem, method, tuple(eig_indices), tp, refs, ns, meshes)
 
 
-def _serving(values):
-    """A coefficient callable that returns ``values``, for a mesh of their node count."""
-    def coefficient(t):
-        if t.shape != values.shape:
-            raise ValueError(f"coefficients were evaluated at {values.size} nodes, "
-                             f"not at {t.size}")
-        return values
-    return coefficient
+def _bulk_nodes(meshes):
+    """The nodes of every mesh in a row, and each mesh's first index in that row.
+
+    One expression, k*h with k and h repeated per mesh, gives them all;
+    each mesh's run is bitwise its ``mesh.nodes``.
+    """
+    sizes = np.array([mesh.size for mesh in meshes])
+    starts = np.cumsum(sizes) - sizes
+    lefts = np.array([mesh.M for mesh in meshes])
+    steps = np.array([mesh.h for mesh in meshes])
+    k = np.arange(sizes.sum(), dtype=float) - np.repeat(starts + lefts, sizes)
+    return k * np.repeat(steps, sizes), starts
 
 
-def _level_problems(tp: TransformedProblem, meshes) -> list:
-    """Per mesh, a TransformedProblem serving its slice of one evaluation of ``tp``.
+@dataclass(frozen=True)
+class _Served:
+    """One study's transformed coefficients, evaluated once, served level by level.
+
+    ``qvals`` and ``wvals`` hold the coefficient and the weight on the
+    nodes of every level in a row, and ``starts`` maps a level's node
+    count to where its nodes begin.  Within a plan the sizes strictly
+    increase with n (a DE mesh's dependent index never decreases), so a
+    node count names one level.  ``qtilde(t)`` and ``weight(t)`` return
+    that level's slice, and refuse a node count that no level has.
+    """
+
+    starts: dict
+    qvals: np.ndarray
+    wvals: np.ndarray
+
+    def _level(self, t) -> slice:
+        start = self.starts.get(t.size)
+        if start is None:
+            raise ValueError(f"no level of this study has {t.size} nodes")
+        return slice(start, start + t.size)
+
+    def qtilde(self, t):
+        return self.qvals[self._level(t)]
+
+    def weight(self, t):
+        return self.wvals[self._level(t)]
+
+
+def _served_problem(tp: TransformedProblem, meshes) -> TransformedProblem:
+    """One TransformedProblem serving every mesh its slice of one evaluation of ``tp``.
 
     ``tp.qtilde`` and ``tp.weight`` are called once each, on the nodes of
     all meshes in a row; they act on each node alone, so a slice is bitwise
-    what the mesh's own nodes give.  If either call raises, every mesh gets
-    ``tp`` itself and evaluates its own nodes, so whatever raised is raised
-    again by the level it belongs to.
+    what the mesh's own nodes give.  If either call raises, or two meshes
+    share a size, ``tp`` itself is returned: each level evaluates its own
+    nodes, so whatever raised is raised again by the level it belongs to.
     """
-    nodes = [mesh.nodes for mesh in meshes]
-    t = np.concatenate(nodes)
+    sizes = [mesh.size for mesh in meshes]
+    if len(set(sizes)) < len(sizes):
+        return tp
+    t, starts = _bulk_nodes(meshes)
     try:
         qvals, wvals = tp.qtilde(t), tp.weight(t)
     except Exception:
-        return [tp] * len(meshes)
-    ends = np.cumsum([len(x) for x in nodes])[:-1]
-    return [TransformedProblem(qtilde=_serving(q), weight=_serving(w))
-            for q, w in zip(np.split(qvals, ends), np.split(wvals, ends))]
+        return tp
+    served = _Served(dict(zip(sizes, starts.tolist())), qvals, wvals)
+    return TransformedProblem(qtilde=served.qtilde, weight=served.weight)
 
 
 def _run(plan: _Plan) -> list:
@@ -172,8 +212,8 @@ def _run(plan: _Plan) -> list:
     last = near = None
     # The first level's time includes the evaluation for every level.
     start = time.perf_counter()
-    level_problems = _level_problems(plan.tp, plan.meshes)
-    for n, mesh, tp in zip(plan.ns, plan.meshes, level_problems):
+    tp = _served_problem(plan.tp, plan.meshes)
+    for n, mesh in zip(plan.ns, plan.meshes):
         try:
             system = assemble(tp, mesh)
             spectrum = solve_generalized(system, count=count, near=near)

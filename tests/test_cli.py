@@ -221,7 +221,8 @@ def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, monkeypatch, f
                  "--output", str(tmp_path / "x.csv")]) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert "configuration error: the DE mesh's dependent truncation index at n=2" in err
+        assert ("configuration error: problem='custom' method='de' n=2: the DE mesh's "
+                "dependent truncation index at n=2") in err
         assert "beta_right=5e-324" in err
         # Every series is meshed before any solves, --compare's se and de too.
         assert solves == []
@@ -240,8 +241,9 @@ def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, monkeypatc
     solved = count_calls(monkeypatch, study, "solve_generalized")
     argv = ["--problem", str(config), "--n-min", "2", "--output", str(tmp_path / "x.csv")]
     assert main([*argv, *flags, "--n-max", "10"]) == 2
-    assert ("configuration error: pencil size 5006 (M=5, N=5000) exceeds the size budget "
-            "4096") in capsys.readouterr().err
+    # The refusal names the level, as a StudyError does.
+    assert ("configuration error: problem='custom' method='de' n=5: pencil size 5006 "
+            "(M=5, N=5000) exceeds the size budget 4096") in capsys.readouterr().err
     assert evaluated == [] and solved == []
     # The counters see the symmetric series, whose sizes are 2n + 1.
     assert main([*argv, "--method", "de", "--n-max", "3"]) == 0

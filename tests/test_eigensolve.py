@@ -13,7 +13,7 @@ from slsolve import (AssemblyError, DefinitenessError, EvaluationError, Generali
                      de_mesh_symmetric, map_catalog, se_mesh, solve_generalized,
                      transform_problem, transformed)
 from slsolve import eigensolve
-from slsolve.eigensolve import GRADE_LIMIT, WARM_MIN_SIZE
+from slsolve.eigensolve import GRADE_LIMIT, WARM_MIN_SIZE, WARM_MIN_SIZE_ONE
 
 
 def charpoly_roots(A, w):
@@ -455,6 +455,12 @@ def test_near_is_ignored_for_vectors_and_small_pencils():
     dense = solve_generalized(small, count=2).eigenvalues
     assert np.array_equal(solve_generalized(small, count=2, near=(dense, [0.0, 0.0])).eigenvalues,
                           dense)
+    # One wanted eigenvalue is served warm from a smaller size, but not below it.
+    tiny = _bessel_system(8, balanced=False)
+    assert tiny.size < WARM_MIN_SIZE_ONE
+    dense = solve_generalized(tiny, count=1).eigenvalues
+    assert np.array_equal(solve_generalized(tiny, count=1, near=(dense, [0.0])).eigenvalues,
+                          dense)
 
 
 def test_near_must_hold_count_values():
@@ -463,12 +469,21 @@ def test_near_must_hold_count_values():
         solve_generalized(system, count=3, near=(mu[:2], np.zeros(2)))
 
 
+def _without_warm_route(monkeypatch):
+    for name in ("WARM_MIN_SIZE", "WARM_MIN_SIZE_ONE"):
+        monkeypatch.setattr(eigensolve, name, math.inf)
+
+
 def _warm_and_dense_errors(monkeypatch, problem, ns, indices, balanced, reference):
     """Max |mu - reference| over the levels the warm route serves, warm then dense."""
     errors = []
-    for threshold in (WARM_MIN_SIZE, math.inf):
-        monkeypatch.setattr(eigensolve, "WARM_MIN_SIZE", threshold)
+    for warm in (True, False):
+        if not warm:
+            _without_warm_route(monkeypatch)
         records = convergence_study(problem, "de", ns, indices, balanced=balanced)
+        # From size WARM_MIN_SIZE: below it the Bessel study has not
+        # converged (1.5e-11 at n = 8, size 33), and the largest error is
+        # the discretization's on either route.
         warm_served = [r for r in records if r.n >= min(ns) + 2 and r.size >= WARM_MIN_SIZE]
         errors.append(max(abs(r.mu - reference[r.eig_index - 1]) for r in warm_served))
     return errors
@@ -505,14 +520,62 @@ def _count_factorizations_and_dense_solves(monkeypatch):
 
 
 def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
-    # A work count, not a timing: every level of the Bessel balanced study
-    # from the third on and of size >= WARM_MIN_SIZE factors A - s D^2 once
-    # and makes no dense solve.
+    # A work count, not a timing: every level of the Bessel balanced study,
+    # which reads one eigenvalue, from the third on and of size >=
+    # WARM_MIN_SIZE_ONE factors A - s D^2 once and makes no dense solve.
     calls = _count_factorizations_and_dense_solves(monkeypatch)
     records = convergence_study(builtin("bessel", n=7), "de", range(2, 41), balanced=True)
-    warm = sum(1 for r in records[2:] if r.size >= WARM_MIN_SIZE)
+    warm = sum(1 for r in records[2:] if r.size >= WARM_MIN_SIZE_ONE)
     assert warm >= 20
+    assert sum(1 for r in records[2:] if WARM_MIN_SIZE_ONE <= r.size < WARM_MIN_SIZE) >= 10
     assert calls == {"sytrf": warm, "dense": len(records) - warm}
+
+
+def test_study_reading_three_eigenvalues_keeps_small_levels_dense(monkeypatch):
+    # Each wanted eigenvalue costs its own factorization, so below
+    # WARM_MIN_SIZE a three-eigenvalue level is solved dense, bitwise as
+    # without the warm route, even where one eigenvalue would be served warm.
+    problem, ns = builtin("laguerre", alpha=3.0), range(2, 61)
+    sizes = {"sytrf": [], "dense": []}
+
+    def by_size(key, fn):
+        def wrapper(A, *args, **kwargs):
+            sizes[key].append(A.shape[0])
+            return fn(A, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eigensolve, "_sytrf", by_size("sytrf", eigensolve._sytrf))
+    for route in ("_solve_congruence", "_solve_inverted"):
+        monkeypatch.setattr(eigensolve, route, by_size("dense", getattr(eigensolve, route)))
+    records = convergence_study(problem, "de", ns, (1, 2, 3), balanced=True)
+    small = sorted({r.size for r in records if r.size < WARM_MIN_SIZE})
+    assert sum(1 for size in small if size >= WARM_MIN_SIZE_ONE) >= 10
+    assert min(sizes["sytrf"]) >= WARM_MIN_SIZE
+    assert [size for size in sizes["dense"] if size < WARM_MIN_SIZE] == small
+    _without_warm_route(monkeypatch)
+    alone = convergence_study(problem, "de", ns, (1, 2, 3), balanced=True)
+    assert [r.mu for r in records if r.size < WARM_MIN_SIZE] == \
+        [r.mu for r in alone if r.size < WARM_MIN_SIZE]
+
+
+def test_one_eigenvalue_study_levels_keep_the_generalized_solve_digits():
+    # The congruence B = D^-1 A D^-1 loses up to 4.5e-11 of mu_1 on the
+    # Bessel DE symmetric levels n = 24..31 (sizes 49-63, grading up to
+    # 1e7); served warm from WARM_MIN_SIZE_ONE, a study reading one
+    # eigenvalue keeps what ?sygvx gives on the same pencil.
+    problem = builtin("bessel", n=7)
+    tp = transformed(problem, "de")
+    records = convergence_study(problem, "de", range(2, 32))
+    checked = 0
+    for r in records:
+        if r.n < 24:
+            continue
+        system = assemble(tp, de_mesh_symmetric(problem.de_profile, r.n))
+        assert WARM_MIN_SIZE_ONE <= system.size < WARM_MIN_SIZE
+        mu = eigensolve._solve_inverted(system.matrix, system.weights, False, 1).eigenvalues[0]
+        assert abs(r.mu - mu) <= 1e-13 * abs(mu), (r.n, r.mu, mu)
+        checked += 1
+    assert checked == 8
 
 
 def test_warm_factorization_gets_a_blocked_workspace(monkeypatch):
@@ -549,7 +612,7 @@ def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, caplog):
     assert served >= 5
     assert calls["dense"] == len(ns) - served
     assert calls["sytrf"] <= 3 * (len(tried) - len(skipped))
-    monkeypatch.setattr(eigensolve, "WARM_MIN_SIZE", math.inf)
+    _without_warm_route(monkeypatch)
     dense = convergence_study(problem, "se", ns, (1, 2, 3))
     assert [r.mu for r in records if r.size in skipped] == \
         [r.mu for r in dense if r.size in skipped]

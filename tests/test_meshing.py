@@ -206,3 +206,24 @@ def test_any_positive_constants_give_a_mesh_or_a_value_error(beta_left, beta_rig
             continue
         assert math.isfinite(config.h) and config.h > 0.0
         assert config.M >= 0 and config.N >= 0
+
+
+betas = st.floats(min_value=1e-6, max_value=1e6)
+gammas = st.floats(min_value=0.1, max_value=10.0)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(beta_left=betas, beta_right=betas, gamma_left=gammas, gamma_right=gammas,
+       d_share=st.floats(min_value=1e-3, max_value=1.0), n=st.integers(1, 200))
+def test_de_mesh_size_strictly_increases_with_n(beta_left, beta_right, gamma_left, gamma_right,
+                                                d_share, n):
+    # A study serves each level its coefficients by node count, which
+    # names one level because the dependent index never decreases in n.
+    d = d_share * math.pi / (2.0 * max(gamma_left, gamma_right))
+    profile = DEProfile(beta_left, beta_right, gamma_left, gamma_right, d)
+    for mesh in (de_mesh, de_mesh_symmetric):
+        try:
+            sizes = [mesh(profile, m).size for m in range(n, n + 8)]
+        except ValueError:
+            continue
+        assert all(a < b for a, b in zip(sizes, sizes[1:])), sizes

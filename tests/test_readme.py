@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import slsolve
+from slsolve.eigensolve import WARM_MIN_SIZE, WARM_MIN_SIZE_ONE
 from slsolve.expressions import FUNCTIONS
 from slsolve.meshing import MAX_SIZE
 from slsolve import convergence_study, parse_problem_config
@@ -83,3 +84,10 @@ def test_size_budget_is_the_meshing_constant():
     # The command-line and config sections state the budget; each is MAX_SIZE.
     stated = re.findall(r"at most (\d+)\s+\(`meshing\.MAX_SIZE`\)", README)
     assert len(stated) == 2 and {int(size) for size in stated} == {MAX_SIZE}
+
+
+def test_warm_sizes_are_the_eigensolve_constants():
+    # The numerical notes state the warm sizes, for one eigenvalue and for more.
+    stated = re.findall(r"size (\d+) or more\s+\(`eigensolve\.(\w+)`\)", README)
+    assert {name: int(size) for size, name in stated} == {
+        "WARM_MIN_SIZE_ONE": WARM_MIN_SIZE_ONE, "WARM_MIN_SIZE": WARM_MIN_SIZE}

@@ -262,7 +262,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_study_meshes_every_level_before_any_solve(monkeypatch):
     # (alpha N)^rho overflows from N = 35 on, so only the last level
-    # cannot mesh; the error is se_mesh's own.
+    # cannot mesh; the error is se_mesh's own, after the level it names.
     problem = parse_problem_config(
         "interval = unit\nmap = se\nq = 48.75/x^2\nrho = 1\nd = 1.5707963267948966\n"
         "alpha_se = 1\nrho_decay_se = 200\n")
@@ -272,7 +272,7 @@ def test_study_meshes_every_level_before_any_solve(monkeypatch):
     solved = count_calls(monkeypatch, study, "solve_generalized")
     with pytest.raises(ValueError) as raised:
         convergence_study(problem, "se", [2, 3, 40])
-    assert str(raised.value) == str(direct.value)
+    assert str(raised.value) == f"problem='custom' method='se' n=40: {direct.value}"
     assert "the SE mesh size at N=40 is not finite" in str(direct.value)
     assert assembled == [] and solved == []
 
@@ -337,6 +337,35 @@ def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, ba
     # One evaluation, on the nodes of every level.
     assert evaluations == [sum(checked)]
     assert len(checked) == len(ns) and len(records) == 3 * len(ns)
+
+
+@pytest.mark.parametrize("method,balanced", [("se", False), ("de", False), ("de", True)],
+                         ids=["se", "de", "de-balanced"])
+@pytest.mark.parametrize("name", ["bessel", "laguerre", "singular", "radial-well"])
+def test_bulk_nodes_and_slices_are_each_level_alone(name, method, balanced):
+    problem = (parse_problem_config(block("### Problem config files"))
+               if name == "radial-well" else builtin(name))
+    plan = study._plan(problem, method, range(2, 61), (1,), balanced)
+    t, starts = study._bulk_nodes(plan.meshes)
+    assert t.tobytes() == np.concatenate([mesh.nodes for mesh in plan.meshes]).tobytes()
+    assert starts.tolist() == np.cumsum([0] + [mesh.size for mesh in plan.meshes])[:-1].tolist()
+    served = study._served_problem(plan.tp, plan.meshes)
+    for mesh in plan.meshes:
+        nodes = mesh.nodes
+        assert served.qtilde(nodes).tobytes() == plan.tp.qtilde(nodes).tobytes()
+        assert served.weight(nodes).tobytes() == plan.tp.weight(nodes).tobytes()
+    # A node count that no level has is refused, not sliced.
+    missing = plan.meshes[-1].size + 1
+    for coefficient in (served.qtilde, served.weight):
+        with pytest.raises(ValueError, match=f"no level of this study has {missing} nodes"):
+            coefficient(np.zeros(missing))
+
+
+def test_levels_of_one_size_evaluate_their_own_nodes():
+    # A node count would not name one level, so nothing is served.
+    tp = transformed(builtin("laguerre", alpha=3.0), "de")
+    meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=2, N=4)]
+    assert study._served_problem(tp, meshes) is tp
 
 
 @pytest.mark.parametrize("method,balanced,ns,message", [
