@@ -13,10 +13,10 @@ from .eigensolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                          SolverError, Spectrum, assemble, solve_generalized)
 from .expressions import ExpressionError, parse_expression
 from .maps import EvaluationError, TransformedProblem, map_catalog, transform_problem
-from .meshing import DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric, se_mesh
+from .meshing import (DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric,
+                      diff_matrix, se_mesh)
 from .problems import (ConfigError, SturmLiouvilleProblem, builtin, parse_problem_config,
                        reference_eigenvalue, transformed)
-from .sinc import diff_matrix
 from .study import (InsufficientDataError, StudyError, StudyRecord, compare_methods,
                     convergence_study, emit_csv, rate_fit)
 

@@ -74,9 +74,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .meshing import MeshConfig
+from .meshing import MeshConfig, diff_matrix
 from .maps import EvaluationError, TransformedProblem
-from .sinc import diff_matrix
 
 # Weight grading max(w)/min(w) above which the congruence route is
 # abandoned for the shifted factorization route.
@@ -315,7 +314,7 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     is 1, and from size WARM_MIN_SIZE on otherwise, each g_i is refined by
     certified shifted inverse iteration instead of a dense solve; any
     doubt in the certificate falls back to the dense route, and a smaller
-    pencil or ``compute_vectors`` ignores ``near``.
+    pencil or ``compute_vectors`` ignores a well-formed ``near``.
     """
     w = np.asarray(system.weights, dtype=float)
     if count is None:
@@ -337,15 +336,16 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
         raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
     if not (A == A.T).all():
         raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
-    warm_min_size = WARM_MIN_SIZE_ONE if count == 1 else WARM_MIN_SIZE
-    if near is not None and not compute_vectors and w.size >= warm_min_size:
+    if near is not None:
         guess, moved = near
         if not len(guess) == len(moved) == min(count, w.size):
             raise ValueError(f"near must hold {min(count, w.size)} eigenvalues and moves, "
                              f"got {len(guess)} and {len(moved)}")
-        spectrum = _solve_warm(A, w, guess, moved)
-        if spectrum is not None:
-            return spectrum
+        warm_min_size = WARM_MIN_SIZE_ONE if count == 1 else WARM_MIN_SIZE
+        if not compute_vectors and w.size >= warm_min_size:
+            spectrum = _solve_warm(A, w, guess, moved)
+            if spectrum is not None:
+                return spectrum
     if w_max <= GRADE_LIMIT * w_min:
         return _solve_congruence(A, w, compute_vectors, count)
     return _solve_inverted(A, w, compute_vectors, count)

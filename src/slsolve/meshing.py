@@ -15,6 +15,10 @@ W the principal branch of the Lambert function, taken from
 ``scipy.special.lambertw``.  This form is preferred over its asymptotic
 ``log(pi d gamma n / beta)/(gamma n)`` replacement because it behaves
 markedly better at moderate n.
+
+The sinc basis enters the method only through its order-2
+differentiation matrix at the mesh points k*h, which ``diff_matrix``
+builds for a mesh's truncation (M, N); the basis is never evaluated.
 """
 
 import math
@@ -28,6 +32,15 @@ _D_BOUND_SLACK = 1e-12
 # converge to double precision below size 150; at 4096, A alone takes
 # 128 MiB.  A mesh above it is refused before anything is evaluated.
 MAX_SIZE = 4096
+
+
+def _check_truncation(M, N):
+    """Refuse a negative truncation index or a pencil size M + N + 1 over MAX_SIZE."""
+    if M < 0 or N < 0:
+        raise ValueError(f"truncation indices must be nonnegative, got M={M}, N={N}")
+    size = M + N + 1
+    if size > MAX_SIZE:
+        raise ValueError(f"pencil size {size} (M={M}, N={N}) exceeds the size budget {MAX_SIZE}")
 
 
 def _validate(profile, kind, names):
@@ -44,8 +57,9 @@ def _validate(profile, kind, names):
 class DEProfile:
     """DE decay ``exp(-beta e^(gamma |t|))`` per tail, strip half-width d, map scale kappa.
 
-    d <= pi / (2 max(gamma)); ``maps.map_catalog`` checks kappa against the
-    interval when a problem declares the profile.
+    d <= pi / (2 max(gamma)) and kappa is positive and finite;
+    ``maps.map_catalog`` checks kappa against the interval when a problem
+    declares the profile.
     """
 
     beta_left: float
@@ -56,7 +70,7 @@ class DEProfile:
     kappa: float = 1.0
 
     def __post_init__(self):
-        _validate(self, "DE", ("beta_left", "beta_right", "gamma_left", "gamma_right"))
+        _validate(self, "DE", ("beta_left", "beta_right", "gamma_left", "gamma_right", "kappa"))
         gamma = max(self.gamma_left, self.gamma_right)
         if self.d > math.pi / (2.0 * gamma) + _D_BOUND_SLACK:
             raise ValueError(f"strip half-width d={self.d!r} exceeds pi/(2*gamma)="
@@ -89,11 +103,7 @@ class MeshConfig:
     def __post_init__(self):
         if self.h <= 0.0 or not math.isfinite(self.h):
             raise ValueError(f"mesh size must be positive, got h={self.h!r}")
-        if self.M < 0 or self.N < 0:
-            raise ValueError(f"truncation indices must be nonnegative, got M={self.M}, N={self.N}")
-        if self.size > MAX_SIZE:
-            raise ValueError(f"pencil size {self.size} (M={self.M}, N={self.N}) exceeds "
-                             f"the size budget {MAX_SIZE}")
+        _check_truncation(self.M, self.N)
 
     @property
     def size(self) -> int:
@@ -167,3 +177,46 @@ def se_mesh(profile: SEProfile, N: int) -> MeshConfig:
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"the SE mesh size at N={N} is not finite for {profile}") from None
     return MeshConfig(h=h, M=N, N=N)
+
+
+def _mirrored_first_row() -> np.ndarray:
+    """row[S-1], ..., row[1], row[0], row[1], ..., row[S-1] for S = MAX_SIZE, read-only."""
+    k = np.arange(MAX_SIZE)
+    row = np.where(k % 2 == 0, -2.0, 2.0) / np.square(np.maximum(k, 1))
+    row[0] = -np.pi**2 / 3.0
+    mirrored = np.concatenate((row[:0:-1], row))
+    mirrored.flags.writeable = False
+    return mirrored
+
+
+# row[k] does not depend on the size, so every matrix reads a window of
+# this one array.
+_TOEPLITZ = _mirrored_first_row()
+
+
+def diff_matrix(order: int, M: int, N: int) -> np.ndarray:
+    """Second-derivative matrix of the sinc basis at unit mesh size.
+
+    Entry (j, k), with j, k = -M..N mapped to 0-based storage by +M,
+    holds h^2 times the second derivative of the basis element
+    sinc((x - j*h)/h), evaluated at x = k*h.  The h-scaling makes the
+    result independent of h: the symmetric Toeplitz matrix with diagonal
+    -pi^2/3 and off-diagonals -2(-1)^(k-j)/(k-j)^2.  ``order`` must be 2;
+    it stays in the signature for wrappers written against (order, M, N),
+    such as the benchmark tracer's hook.
+
+    The matrix is copied out of one read-only array built at import: the
+    first row of the matrix of size MAX_SIZE, laid out both ways.  A
+    truncation that ``MeshConfig`` refuses raises the same ValueError.
+    The result is always a fresh, writeable, C-contiguous array.
+    """
+    if order != 2:
+        raise ValueError(f"unsupported derivative order {order!r}; expected 2")
+    _check_truncation(M, N)
+    size = M + N + 1
+    # Entry (j, k) depends on |k - j| only: row j of the matrix is the
+    # window of the mirrored row that starts j places left of its centre.
+    step = _TOEPLITZ.itemsize
+    windows = np.ndarray((size, size), buffer=_TOEPLITZ, offset=(MAX_SIZE - 1) * step,
+                         strides=(-step, step))
+    return windows.copy()

@@ -150,6 +150,22 @@ def test_ignored_flag_combination_is_config_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem,flags,message", [
+    ("de-only", ["--method", "se"], "problem 'custom' declares no se transformation data"),
+    ("bessel", ["--param", "n7", "--method", "de"], "--param expects NAME=VALUE, got 'n7'"),
+    ("bessel", ["--param", "n=x", "--method", "de"], "--param 'n' must be numeric, got 'x'"),
+], ids=["undeclared-method", "param-without-equals", "param-not-numeric"])
+def test_problem_refusals_are_config_errors(tmp_path, capsys, problem, flags, message):
+    if problem == "de-only":
+        problem = tmp_path / "de-only.slp"
+        problem.write_text("interval = unit\nmap = de\nq = 1/x^2\nrho = 1\nd = 1.5\n"
+                           "beta_l = 7\nbeta_r = 0.5\ngamma_l = 1\ngamma_r = 1\n")
+    code = main(["--problem", str(problem), *flags, "--n-min", "2", "--n-max", "5",
+                 "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"slsolve: configuration error: {message}\n"
+
+
 def test_bad_builtin_parameter_is_config_error(tmp_path):
     code = main(["--problem", "laguerre", "--param", "alpha=0.2", "--method", "de",
                  "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])

@@ -444,6 +444,22 @@ def test_shift_retry_is_logged(caplog):
         "positive definite; retrying with s = 10"]
 
 
+def test_graded_route_falls_back_to_a_trace_shift(caplog):
+    # min A_kk / w_k = -1 is no shift, so the route starts from
+    # |tr A| / sum(w) * 1e-6 = 2e-6 and multiplies it by 10 until A + s D^2
+    # is positive definite.
+    A = np.array([[-1.0, 0.1, 0.0], [0.1, 2.0, 0.1], [0.0, 0.1, 3.0]])
+    system = GeneralizedSystem(A, np.array([1.0, 1e-9, 1.0]), MeshConfig(h=1.0, M=1, N=1))
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        mu = solve_generalized(system, count=2).eigenvalues
+    # The two lowest eigenvalues of D^-1 A D^-1 in 50-digit mpmath.
+    np.testing.assert_allclose(mu, [-1.0050062499877157, 2.9950062499827657], rtol=1e-14, atol=0.0)
+    shifts = ["2e-06", "2e-05", "0.0002", "0.002", "0.02", "0.2", "2"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"size 3: A + s D^2 with s = {s} has a leading minor of order 1 that is not "
+        f"positive definite; retrying with s = {t}" for s, t in zip(shifts, shifts[1:])]
+
+
 def test_near_is_ignored_for_vectors_and_small_pencils():
     system, mu = _warm_level()
     pairs = solve_generalized(system, compute_vectors=True, count=3)
@@ -467,6 +483,18 @@ def test_near_must_hold_count_values():
     system, mu = _warm_level()
     with pytest.raises(ValueError, match="near must hold 3"):
         solve_generalized(system, count=3, near=(mu[:2], np.zeros(2)))
+
+
+@pytest.mark.parametrize("system,vectors", [
+    (lambda: _bessel_system(4, balanced=False), False),
+    (lambda: _warm_level()[0], True),
+], ids=["small-pencil", "vectors"])
+def test_malformed_near_is_refused_where_a_well_formed_one_is_ignored(system, vectors):
+    system = system()
+    assert vectors or system.size < WARM_MIN_SIZE_ONE
+    with pytest.raises(ValueError, match="^near must hold 1 eigenvalues and moves, got 3 and 1$"):
+        solve_generalized(system, compute_vectors=vectors, count=1,
+                          near=([1.0, 2.0, 3.0], [0.0]))
 
 
 def _without_warm_route(monkeypatch):

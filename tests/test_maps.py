@@ -215,3 +215,29 @@ def test_evaluation_error_names_first_failing_entry():
         weight(t)
     assert info.value.point == -5.5
     assert weight(t[2:]).shape == (3,)
+
+
+def _identity_jet_breaking_outside_the_sample(p1, p3):
+    # phi(t) = t, with phi' = p1 and phi''' = p3 where |t| > 3 only.
+    def jet(t):
+        outside = np.abs(t) > 3.0
+        zero = np.zeros(t.shape)
+        return t.copy(), np.where(outside, p1, 1.0), zero, np.where(outside, p3, 0.0)
+    return jet
+
+
+@pytest.mark.parametrize("jet,rho,coefficient,message", [
+    (_identity_jet_breaking_outside_the_sample(0.0, 0.0), lambda x: 1.0, "qtilde",
+     "map derivative must be positive, got 0.0"),
+    (_identity_jet_breaking_outside_the_sample(1.0, np.inf), lambda x: 1.0, "qtilde",
+     "transformed coefficient non-finite at x=4.0"),
+    (map_catalog("real_line", "SE"), lambda x: np.where(np.abs(x) > 3.0, np.nan, 1.0), "weight",
+     "transformed weight undefined or non-finite at x=4.0"),
+], ids=["map-derivative", "coefficient", "weight"])
+def test_failures_outside_the_construction_sample_are_described(jet, rho, coefficient, message):
+    # Each passes the weight sample on [-3, 3] and fails at t = 4 only.
+    tp = transform_problem(jet, lambda x: 0.0 * x, rho)
+    with pytest.raises(EvaluationError) as info:
+        getattr(tp, coefficient)(np.array([0.0, 4.0]))
+    assert info.value.reason == message
+    assert info.value.point == 4.0

@@ -37,6 +37,12 @@ def test_profile_validation():
     assert BESSEL7.kappa == 1.0
 
 
+@pytest.mark.parametrize("kappa", [math.nan, 0.0, -1.0, math.inf])
+def test_de_profile_refuses_kappa(kappa):
+    with pytest.raises(ValueError, match=f"^DE profile needs positive kappa, got {kappa!r}$"):
+        DEProfile(1.0, 1.0, 1.0, 1.0, 0.5, kappa=kappa)
+
+
 def test_mesh_config_validation():
     with pytest.raises(ValueError):
         MeshConfig(h=0.0, M=1, N=1)
@@ -159,6 +165,8 @@ def test_kind_mismatch_rejected():
     se = SEProfile(alpha=1.0, rho_decay=1.0, d=1.0)
     with pytest.raises(ValueError, match="se_mesh requires an SE decay profile"):
         se_mesh(BESSEL7, 5)
+    with pytest.raises(ValueError, match="^truncation index must be >= 1, got 0$"):
+        se_mesh(se, 0)
     for mesh in (de_mesh, de_mesh_symmetric):
         with pytest.raises(ValueError, match="de_mesh requires a DE decay profile"):
             mesh(se, 5)

@@ -236,6 +236,28 @@ def test_config_expression_errors_carry_line():
     assert message.endswith("(line 3, column 5)") and message.count("line 3") == 1
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("gamma_r = 1\n", "gamma_r = 1\nkappa 0.5\n",
+     "expected 'key = value', got 'kappa 0.5' (line 14)"),
+    ("gamma_r = 1\n", "gamma_r = 1\nkappa =\n", "missing value for 'kappa' (line 14)"),
+    ("param n = 7", "param 2n = 7", "invalid parameter name '2n' (line 6)"),
+    ("gamma_r = 1\n", "gamma_r = 1\ncolour = red\n", "unknown key 'colour' (line 14)"),
+    ("interval = unit", "interval = circle",
+     "interval must be one of ['halfline', 'realline', 'unit'], got 'circle'"),
+    ("map = de", "map = xe", "map must be 'se' or 'de', got 'xe'"),
+    ("d = 1.5707963267948966\n", "", "missing mandatory field 'd'"),
+    ("map = de", "map = se", "map = se requires alpha_se and rho_decay_se"),
+    ("d = 1.5707963267948966", "d = wide", "value for 'd' must be a number, got 'wide' (line 9)"),
+    ("gamma_r = 1\n", "gamma_r = 1\nkappa = -1\n", "DE profile needs positive kappa, got -1.0"),
+], ids=["no-equals", "no-value", "param-name", "unknown-key", "interval", "map", "no-d",
+        "se-constants", "number", "kappa"])
+def test_config_refusals(old, new, message):
+    assert old in CONFIG_BESSEL
+    with pytest.raises(ConfigError) as info:
+        parse_problem_config(CONFIG_BESSEL.replace(old, new))
+    assert str(info.value) == message
+
+
 def test_config_missing_mandatory_field():
     bad = "\n".join(line for line in CONFIG_BESSEL.splitlines() if not line.startswith("rho"))
     with pytest.raises(ConfigError, match="rho"):
