@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rate-fit", action="store_true",
                         help="fit log(error) against n/log(n) and report the slope")
     parser.add_argument("--output", required=True,
-                        help="destination CSV path, opened before the study runs")
+                        help="destination CSV path, checked before the study runs and "
+                             "written after it succeeds")
     return parser
 
 
@@ -96,24 +97,28 @@ def main(argv=None) -> int:
         ns = range(args.n_min, args.n_max + 1)
         problem = _load_problem(args)
 
-        # Opened before the study, so an unwritable destination costs nothing.
-        with open(args.output, "w", newline="") as handle:
-            if args.compare:
-                if args.problem == "singular" and problem.de_profile.kappa != 1.0:
-                    # Compare the plain whole-line map against the requested one.
-                    series = compare_methods(builtin("singular", kappa=1.0), ns,
-                                             eig_index=args.eig_index, adapted=problem)
-                else:
-                    series = compare_methods(problem, ns, eig_index=args.eig_index)
-                records = [r for recs in series.values() for r in recs]
-                if args.rate_fit:
-                    for label, recs in series.items():
-                        _report_fit(label, recs)
+        # Probed before the study, in append mode so nothing is truncated: an
+        # unwritable destination costs no solve, and a run that fails leaves
+        # an existing file as it was.  It is written once the records exist.
+        with open(args.output, "a"):
+            pass
+        if args.compare:
+            if args.problem == "singular" and problem.de_profile.kappa != 1.0:
+                # Compare the plain whole-line map against the requested one.
+                series = compare_methods(builtin("singular", kappa=1.0), ns,
+                                         eig_index=args.eig_index, adapted=problem)
             else:
-                records = convergence_study(problem, args.method, ns,
-                                            (args.eig_index,), balanced=args.balanced)
-                if args.rate_fit:
-                    _report_fit(args.method, records)
+                series = compare_methods(problem, ns, eig_index=args.eig_index)
+            records = [r for recs in series.values() for r in recs]
+            if args.rate_fit:
+                for label, recs in series.items():
+                    _report_fit(label, recs)
+        else:
+            records = convergence_study(problem, args.method, ns,
+                                        (args.eig_index,), balanced=args.balanced)
+            if args.rate_fit:
+                _report_fit(args.method, records)
+        with open(args.output, "w", newline="") as handle:
             emit_csv(records, handle)
         print(f"wrote {len(records)} records to {args.output}")
         return 0

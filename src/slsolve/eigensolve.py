@@ -246,6 +246,8 @@ def _solve_warm(A, w, guess, moved):
     exceeds eps, the last solve leaves it above the floor: no factorization.
     """
     n = w.size
+    # Python floats round as numpy's float64 scalars do, at less cost per operation.
+    guess, moved = [float(g) for g in guess], [float(m) for m in moved]
     shifts = [g + max(8.0 * m, 1e-8 * max(1.0, abs(g))) for g, m in zip(guess, moved)]
     for i, (g, shift) in enumerate(zip(guess, shifts)):
         nearest = min((abs(o - shift) for j, o in enumerate(guess) if j != i), default=np.inf)
@@ -264,22 +266,32 @@ def _solve_warm(A, w, guess, moved):
         K = A.copy()
         K.reshape(-1)[:: n + 1] -= shift * w
         ldu, ipiv, info = _sytrf(K.T, lwork=lwork, overwrite_a=1)
-        pairs = ipiv < 0  # both rows of each 2x2 pivot
-        below = np.count_nonzero(ldu.diagonal()[~pairs] < 0.0) + np.count_nonzero(pairs) // 2
+        if ipiv.min() > 0:  # 1x1 pivots only
+            below = np.count_nonzero(ldu.diagonal() < 0.0)
+        else:
+            pairs = ipiv < 0  # both rows of each 2x2 pivot
+            below = np.count_nonzero(ldu.diagonal()[~pairs] < 0.0) + np.count_nonzero(pairs) // 2
         if info != 0 or below != i:
             _log.debug("size %d: warm start falls back: %d eigenvalues below the shift "
                        "%.17g for eigenvalue %d", n, below, shift, i)
             return None
-        y = np.ones(n)
+        # The ones vector's first right-hand side, w * 1, is w itself; each
+        # later one is the w * y of the quotient before it.  ndarray.dot
+        # makes the same BLAS calls as @, through fewer wrapper layers.
+        wy = w
         previous = None
         for solves in range(1, _SOLVES + 1):
-            y = _sytrs(ldu, ipiv, w * y)[0]
-            y /= np.abs(y).max()
-            ywy = y @ (w * y)
-            rho = (y @ (A @ y)) / ywy
+            y = _sytrs(ldu, ipiv, wy)[0]
+            abs_y = np.abs(y)
+            top = abs_y.max()
+            y /= top
+            wy = w * y
+            ywy = y.dot(wy)
+            rho = y.dot(A.dot(y)) / ywy
             if previous is not None:
-                abs_y = np.abs(y)
-                if abs(rho - previous) <= 4.0 * _EPS * (abs_y @ (abs_a @ abs_y)) / ywy:
+                # |y| / top is |y / top| exactly.
+                abs_y /= top
+                if abs(rho - previous) <= 4.0 * _EPS * abs_y.dot(abs_a.dot(abs_y)) / ywy:
                     break
             previous = rho
         else:

@@ -309,21 +309,20 @@ def rate_fit(records: Sequence[StudyRecord]):
     return -float(slope), r_squared
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _g17(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.17g}"
 
 
 def emit_csv(records: Sequence[StudyRecord], handle) -> None:
     """Write records in input order to an open text handle.
 
-    Floats carry 17 significant digits, so every field reads back exactly.
-    Open a file with ``newline=""``: the csv module writes its own line ends.
+    Floats carry 17 significant digits, so every field reads back exactly;
+    a missing error is an empty field.  Open a file with ``newline=""``:
+    the csv module writes its own line ends, and quotes the fields.
     """
     writer = csv.writer(handle)
     writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([_format_value(getattr(r, name)) for name in CSV_HEADER])
+    # The csv module writes str and int fields as str() does.
+    writer.writerows((r.method, r.problem, r.n, r.M, r.N, f"{r.h:.17g}", r.size, r.eig_index,
+                      f"{r.mu:.17g}", _g17(r.abs_error), _g17(r.succ_error),
+                      f"{r.runtime_ms:.17g}") for r in records)

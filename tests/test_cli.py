@@ -8,6 +8,14 @@ from slsolve.cli import main
 from test_study import count_calls
 
 
+# q is undefined at the negative collocation points, which loading does not see.
+EXPLODING = ("interval = realline\nmap = de\nq = log(x)\nrho = 1\n"
+             f"d = {math.pi / 4}\nbeta_l = 1\nbeta_r = 1\ngamma_l = 2\ngamma_r = 2\n")
+# Declares DE constants only, so --method se is refused when the study is planned.
+DE_ONLY = ("interval = unit\nmap = de\nq = 1/x^2\nrho = 1\nd = 1.5\n"
+           "beta_l = 7\nbeta_r = 0.5\ngamma_l = 1\ngamma_r = 1\n")
+
+
 def read_rows(path):
     """The CLI's CSV as one dict of strings per record."""
     with open(path, newline="") as handle:
@@ -127,15 +135,31 @@ def test_directory_as_problem_is_config_error(tmp_path, capsys):
 
 def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
     def study(*args, **kwargs):
-        raise AssertionError("the study ran before the output was opened")
+        raise AssertionError("the study ran before the output was checked")
 
     monkeypatch.setattr("slsolve.cli.convergence_study", study)
-    out = tmp_path / "no-such-dir" / "x.csv"
-    code = main(["--problem", "bessel", "--method", "de",
-                 "--n-min", "2", "--n-max", "3", "--output", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and str(out) in err
+    # A missing directory, and a directory as the destination.
+    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
+        code = main(["--problem", "bessel", "--method", "de",
+                     "--n-min", "2", "--n-max", "3", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err
+
+
+@pytest.mark.parametrize("config,method,code", [(DE_ONLY, "se", 2), (EXPLODING, "de", 3)],
+                         ids=["config-error-in-plan", "solver-error"])
+def test_failed_run_leaves_existing_output_unchanged(tmp_path, capsys, config, method, code):
+    # Both failures come after the destination is checked, and the study
+    # writes nothing it did not finish.
+    problem = tmp_path / "problem.slp"
+    problem.write_text(config)
+    out = tmp_path / "results.csv"
+    out.write_bytes(b"earlier results,\r\n")
+    assert main(["--problem", str(problem), "--method", method, "--n-min", "3",
+                 "--n-max", "6", "--output", str(out)]) == code
+    assert out.read_bytes() == b"earlier results,\r\n"
+    assert str(out) not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [["--compare", "--method", "se"], ["--method", "se", "--balanced"],
@@ -158,8 +182,7 @@ def test_ignored_flag_combination_is_config_error(tmp_path, capsys, flags):
 def test_problem_refusals_are_config_errors(tmp_path, capsys, problem, flags, message):
     if problem == "de-only":
         problem = tmp_path / "de-only.slp"
-        problem.write_text("interval = unit\nmap = de\nq = 1/x^2\nrho = 1\nd = 1.5\n"
-                           "beta_l = 7\nbeta_r = 0.5\ngamma_l = 1\ngamma_r = 1\n")
+        problem.write_text(DE_ONLY)
     code = main(["--problem", str(problem), *flags, "--n-min", "2", "--n-max", "5",
                  "--output", str(tmp_path / "x.csv")])
     assert code == 2
@@ -282,12 +305,8 @@ def test_refinement_range_outside_bounds_is_config_error(tmp_path, capsys, n_min
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # q undefined at negative collocation points; passes config loading
     config = tmp_path / "exploding.slp"
-    config.write_text(
-        "interval = realline\nmap = de\nq = log(x)\nrho = 1\n"
-        f"d = {math.pi / 4}\nbeta_l = 1\nbeta_r = 1\ngamma_l = 2\ngamma_r = 2\n"
-    )
+    config.write_text(EXPLODING)
     code = main(["--problem", str(config), "--method", "de",
                  "--n-min", "3", "--n-max", "6", "--output", str(tmp_path / "x.csv")])
     assert code == 3

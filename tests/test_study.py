@@ -195,6 +195,31 @@ def test_csv_header_and_blank_optionals():
     assert second[9] == "" and second[10] != ""
 
 
+def test_csv_bytes_match_a_reference_formatter():
+    # str for ints and strings, 17 significant digits for floats, an empty
+    # field for None; a field holding a comma, a quote or a line end is
+    # quoted, its quotes doubled.  Records end in CRLF.
+    def field(value):
+        if value is None:
+            return ""
+        text = f"{value:.17g}" if isinstance(value, float) else str(value)
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    records = convergence_study(builtin("singular"), "de", range(4, 8))
+    records += convergence_study(builtin("laguerre", alpha=3.0), "de", [5, 6], (1, 2))
+    odd = dataclasses.replace(records[0], problem='well "a,b"\nrow', runtime_ms=0.1)
+    records.append(odd)
+    expected = "".join(",".join(field(v) for v in row) + "\r\n"
+                       for row in [CSV_HEADER] + [dataclasses.astuple(r) for r in records])
+    buffer = io.StringIO(newline="")
+    emit_csv(records, buffer)
+    assert buffer.getvalue() == expected
+    assert expected.endswith(f'"well ""a,b""\nrow",4,4,4,{odd.h:.17g},9,1,{odd.mu:.17g},,,'
+                             "0.10000000000000001\r\n")
+
+
 def test_csv_empty_record_list(tmp_path):
     path = tmp_path / "empty.csv"
     assert write_and_parse([], path) == []
