@@ -35,12 +35,22 @@ MAX_SIZE = 4096
 
 
 def _check_truncation(M, N):
-    """Refuse a negative truncation index or a pencil size M + N + 1 over MAX_SIZE."""
+    """Refuse an M or N that is not a nonnegative integer, or a size M + N + 1 over MAX_SIZE."""
+    if not (isinstance(M, (int, np.integer)) and isinstance(N, (int, np.integer))):
+        raise ValueError(f"truncation indices must be integers, got M={M!r}, N={N!r}")
     if M < 0 or N < 0:
         raise ValueError(f"truncation indices must be nonnegative, got M={M}, N={N}")
     size = M + N + 1
     if size > MAX_SIZE:
         raise ValueError(f"pencil size {size} (M={M}, N={N}) exceeds the size budget {MAX_SIZE}")
+
+
+def _check_level(n, name):
+    """Refuse a mesh builder's level n that is not an integer >= 1."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
 
 
 def _validate(profile, kind, names):
@@ -119,8 +129,7 @@ def _de_governing(profile: DEProfile, n: int):
     """(left governs, W, h, (gamma, beta) governing, (gamma, beta) dependent)."""
     if not isinstance(profile, DEProfile):
         raise ValueError("de_mesh requires a DE decay profile")
-    if n < 1:
-        raise ValueError(f"governing index must be >= 1, got {n!r}")
+    _check_level(n, "governing index")
     # The larger gamma governs, then the larger beta; left wins ties.
     tails = (profile.gamma_left, profile.beta_left), (profile.gamma_right, profile.beta_right)
     left = tails[0] >= tails[1]
@@ -169,8 +178,7 @@ def se_mesh(profile: SEProfile, N: int) -> MeshConfig:
     """Symmetric SE mesh: h = (pi d / (alpha N)^rho)^(1/(rho+1)), M = N."""
     if not isinstance(profile, SEProfile):
         raise ValueError("se_mesh requires an SE decay profile")
-    if N < 1:
-        raise ValueError(f"truncation index must be >= 1, got {N!r}")
+    _check_level(N, "truncation index")
     rho = profile.rho_decay
     try:
         h = (math.pi * profile.d / (profile.alpha * N) ** rho) ** (1.0 / (rho + 1.0))

@@ -1,6 +1,7 @@
 """Convergence studies, rate fitting, and CSV emission."""
 
 import csv
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -80,12 +81,11 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     ValueError that names the level as a StudyError does.  It evaluates
     the transformed coefficient and weight once each, on the nodes of all
     levels together (built in one array expression), inside the first
-    level's timed window.  Then it assembles and solves level by level:
-    one object serves every level its slice of that evaluation, keyed by
-    the level's node count.  When the evaluation on all nodes raises,
-    each level evaluates its own nodes instead, so the failing level
-    raises the StudyError it raises on its own, after the levels before
-    it have solved.
+    level's timed window.  Then it assembles and solves level by level,
+    each level reading its own slice of that evaluation.  When the
+    evaluation on all nodes raises, each level evaluates its own nodes
+    instead, so the failing level raises the StudyError it raises on its
+    own, after the levels before it have solved.
 
     From the third level on, each solve is warm-started from the previous
     level's eigenvalues and how far they moved (``near`` of
@@ -109,18 +109,28 @@ class _Plan:
     meshes: list
 
 
+def _integers(values, what) -> list:
+    """``values`` as a list of ints; a value that is not an integer is a ValueError."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
-    ns = sorted(set(int(n) for n in n_range))
+    ns = sorted(set(_integers(n_range, "refinement levels")))
     if not ns:
         raise ValueError("empty refinement range")
-    if not eig_indices or any(i < 1 for i in eig_indices):
+    indices = _integers(eig_indices or (), "eigenvalue indices")
+    if not indices or any(i < 1 for i in indices):
         raise ValueError(f"eigenvalue indices must be a nonempty list of values >= 1, "
                          f"got {eig_indices!r}")
     if balanced and method == "se":
         raise ValueError("balanced truncation applies only to the DE method")
-    count = max(eig_indices)
+    count = max(indices)
     tp = transformed(problem, method)
-    refs = {i: reference_eigenvalue(problem, i) for i in eig_indices}
+    refs = {i: reference_eigenvalue(problem, i) for i in indices}
     profile = problem.se_profile if method == "se" else problem.de_profile
     mesh_for = se_mesh if method == "se" else de_mesh if balanced else de_mesh_symmetric
     meshes = []
@@ -135,7 +145,7 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
                 ValueError(f"eigenvalue index {count} exceeds matrix dimension {mesh.size}"),
             )
         meshes.append(mesh)
-    return _Plan(problem, method, tuple(eig_indices), tp, refs, ns, meshes)
+    return _Plan(problem, method, tuple(indices), tp, refs, ns, meshes)
 
 
 def _bulk_nodes(meshes):
@@ -152,54 +162,25 @@ def _bulk_nodes(meshes):
     return k * np.repeat(steps, sizes), starts
 
 
-@dataclass(frozen=True)
-class _Served:
-    """One study's transformed coefficients, evaluated once, served level by level.
-
-    ``qvals`` and ``wvals`` hold the coefficient and the weight on the
-    nodes of every level in a row, and ``starts`` maps a level's node
-    count to where its nodes begin.  Within a plan the sizes strictly
-    increase with n (a DE mesh's dependent index never decreases), so a
-    node count names one level.  ``qtilde(t)`` and ``weight(t)`` return
-    that level's slice, and refuse a node count that no level has.
-    """
-
-    starts: dict
-    qvals: np.ndarray
-    wvals: np.ndarray
-
-    def _level(self, t) -> slice:
-        start = self.starts.get(t.size)
-        if start is None:
-            raise ValueError(f"no level of this study has {t.size} nodes")
-        return slice(start, start + t.size)
-
-    def qtilde(self, t):
-        return self.qvals[self._level(t)]
-
-    def weight(self, t):
-        return self.wvals[self._level(t)]
-
-
-def _served_problem(tp: TransformedProblem, meshes) -> TransformedProblem:
-    """One TransformedProblem serving every mesh its slice of one evaluation of ``tp``.
+def _level_problems(tp: TransformedProblem, meshes):
+    """Each mesh's TransformedProblem in turn, all served from one evaluation of ``tp``.
 
     ``tp.qtilde`` and ``tp.weight`` are called once each, on the nodes of
-    all meshes in a row; they act on each node alone, so a slice is bitwise
-    what the mesh's own nodes give.  If either call raises, or two meshes
-    share a size, ``tp`` itself is returned: each level evaluates its own
-    nodes, so whatever raised is raised again by the level it belongs to.
+    all meshes in a row, when the first level is asked for; they act on
+    each node alone, so the slice a level returns is bitwise what its own
+    nodes give.  If either call raises, every level gets ``tp`` itself and
+    evaluates its own nodes, so the level that fails raises its own error.
     """
-    sizes = [mesh.size for mesh in meshes]
-    if len(set(sizes)) < len(sizes):
-        return tp
     t, starts = _bulk_nodes(meshes)
     try:
         qvals, wvals = tp.qtilde(t), tp.weight(t)
     except Exception:
-        return tp
-    served = _Served(dict(zip(sizes, starts.tolist())), qvals, wvals)
-    return TransformedProblem(qtilde=served.qtilde, weight=served.weight)
+        yield from itertools.repeat(tp, len(meshes))
+        return
+    for start, mesh in zip(starts.tolist(), meshes):
+        level = slice(start, start + mesh.size)
+        yield TransformedProblem(qtilde=lambda _, q=qvals[level]: q,
+                                 weight=lambda _, w=wvals[level]: w)
 
 
 def _run(plan: _Plan) -> list:
@@ -212,8 +193,7 @@ def _run(plan: _Plan) -> list:
     last = near = None
     # The first level's time includes the evaluation for every level.
     start = time.perf_counter()
-    tp = _served_problem(plan.tp, plan.meshes)
-    for n, mesh in zip(plan.ns, plan.meshes):
+    for n, mesh, tp in zip(plan.ns, plan.meshes, _level_problems(plan.tp, plan.meshes)):
         try:
             system = assemble(tp, mesh)
             spectrum = solve_generalized(system, count=count, near=near)

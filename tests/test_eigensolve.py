@@ -9,7 +9,7 @@ import scipy.special
 
 import oracles
 from slsolve import (AssemblyError, DefinitenessError, EvaluationError, GeneralizedSystem,
-                     MeshConfig, assemble, builtin, convergence_study, de_mesh,
+                     MeshConfig, SolverError, assemble, builtin, convergence_study, de_mesh,
                      de_mesh_symmetric, map_catalog, se_mesh, solve_generalized,
                      transform_problem, transformed)
 from slsolve import eigensolve
@@ -671,3 +671,36 @@ def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(monkeypatch
     assert caplog.records == []
     assert len(pairs) == n and max(pairs) >= 10
     np.testing.assert_allclose(mu, dense, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("compute_vectors", [False, True])
+def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vectors):
+    def fail(B):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    system = GeneralizedSystem(np.eye(2), np.ones(2), MeshConfig(h=1.0, M=0, N=1))
+    with pytest.raises(SolverError, match="^symmetric eigensolver failed: Eigenvalues did not "
+                                          "converge$"):
+        solve_generalized(system, compute_vectors=compute_vectors)
+
+
+def test_graded_route_gives_up_without_a_positive_definite_shift():
+    # s starts at min A_kk / w_k = 1e-300; sixty tenfold retries reach
+    # only 1e-240, and A + s D^2 stays indefinite.
+    A = np.array([[1e-300, 1.0], [1.0, 1e-300]])
+    system = GeneralizedSystem(A, np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
+    with pytest.raises(SolverError, match="^could not find a positive definite shift"):
+        solve_generalized(system)
+
+
+def test_graded_route_reports_a_failed_sygvx(monkeypatch):
+    def failing(a, b, **kwargs):
+        # info = 1: one eigenvector failed to converge.
+        return np.zeros(2), np.zeros((2, 2)), 0, np.zeros(2, dtype=np.int32), 1
+
+    monkeypatch.setattr(eigensolve, "_sygvx", failing)
+    system = GeneralizedSystem(np.eye(2), np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
+    with pytest.raises(SolverError, match=r"^LAPACK sygvx failed \(info=1\)$"):
+        solve_generalized(system)

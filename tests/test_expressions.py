@@ -109,3 +109,7 @@ def test_compiled_expression_is_undefined_as_nan_or_inf():
     assert ev("1/x", x=0.0) == math.inf
     with pytest.raises(ExpressionError, match="unknown name"):
         parse_expression("x + b", {})
+
+
+def test_trailing_whitespace_is_ignored():
+    assert ev("x + 1   ", x=2.0) == 3.0

@@ -241,3 +241,12 @@ def test_failures_outside_the_construction_sample_are_described(jet, rho, coeffi
         getattr(tp, coefficient)(np.array([0.0, 4.0]))
     assert info.value.reason == message
     assert info.value.point == 4.0
+
+
+def test_one_element_coefficient_result_is_broadcast():
+    # rho returns one value for the whole array: every node gets it.
+    m = map_catalog("real_line", "SE")
+    t = np.linspace(-1.0, 1.0, 5)
+    tp = coefficients(m, rho=lambda x: np.ones(1))
+    assert tp.weight(t).shape == t.shape
+    assert tp.weight(t).tobytes() == coefficients(m).weight(t).tobytes()

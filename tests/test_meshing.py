@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,7 +49,10 @@ def test_mesh_config_validation():
         MeshConfig(h=0.0, M=1, N=1)
     with pytest.raises(ValueError):
         MeshConfig(h=0.1, M=-1, N=1)
+    with pytest.raises(ValueError, match="^truncation indices must be integers, got M=2.5, N=3$"):
+        MeshConfig(h=0.5, M=2.5, N=3)
     assert MeshConfig(h=0.1, M=2, N=3).size == 6
+    assert MeshConfig(h=0.1, M=np.int64(2), N=np.int64(3)).size == 6
 
 
 def test_mesh_config_size_budget():
@@ -225,8 +229,8 @@ gammas = st.floats(min_value=0.1, max_value=10.0)
        d_share=st.floats(min_value=1e-3, max_value=1.0), n=st.integers(1, 200))
 def test_de_mesh_size_strictly_increases_with_n(beta_left, beta_right, gamma_left, gamma_right,
                                                 d_share, n):
-    # A study serves each level its coefficients by node count, which
-    # names one level because the dependent index never decreases in n.
+    # Refining a DE mesh never shrinks it: the dependent index never
+    # decreases in n, so each level of a study has a larger pencil.
     d = d_share * math.pi / (2.0 * max(gamma_left, gamma_right))
     profile = DEProfile(beta_left, beta_right, gamma_left, gamma_right, d)
     for mesh in (de_mesh, de_mesh_symmetric):
@@ -235,3 +239,14 @@ def test_de_mesh_size_strictly_increases_with_n(beta_left, beta_right, gamma_lef
         except ValueError:
             continue
         assert all(a < b for a, b in zip(sizes, sizes[1:])), sizes
+
+
+def test_mesh_builders_refuse_a_non_integer_level():
+    se = SEProfile(alpha=1.0, rho_decay=1.0, d=1.0)
+    with pytest.raises(ValueError, match="^truncation index must be an integer, got 2.5$"):
+        se_mesh(se, 2.5)
+    assert se_mesh(se, np.int64(3)) == se_mesh(se, 3)
+    for mesh in (de_mesh, de_mesh_symmetric):
+        with pytest.raises(ValueError, match="^governing index must be an integer, got 2.5$"):
+            mesh(BESSEL7, 2.5)
+        assert mesh(BESSEL7, np.int64(3)) == mesh(BESSEL7, 3)

@@ -71,6 +71,9 @@ def test_diff_matrix_rejects_bad_arguments():
         diff_matrix(1, 2, 2)
     with pytest.raises(ValueError):
         diff_matrix(2, -1, 2)
+    with pytest.raises(ValueError, match="^truncation indices must be integers, got M=2, N=3.0$"):
+        diff_matrix(2, 2, 3.0)
+    assert np.array_equal(diff_matrix(2, np.int64(2), np.int32(3)), diff_matrix(2, 2, 3))
 
 
 def test_diff_matrix_refuses_sizes_over_the_budget():

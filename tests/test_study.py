@@ -374,23 +374,34 @@ def test_bulk_nodes_and_slices_are_each_level_alone(name, method, balanced):
     t, starts = study._bulk_nodes(plan.meshes)
     assert t.tobytes() == np.concatenate([mesh.nodes for mesh in plan.meshes]).tobytes()
     assert starts.tolist() == np.cumsum([0] + [mesh.size for mesh in plan.meshes])[:-1].tolist()
-    served = study._served_problem(plan.tp, plan.meshes)
-    for mesh in plan.meshes:
+    served = list(study._level_problems(plan.tp, plan.meshes))
+    assert len(served) == len(plan.meshes)
+    for tp, mesh in zip(served, plan.meshes):
         nodes = mesh.nodes
-        assert served.qtilde(nodes).tobytes() == plan.tp.qtilde(nodes).tobytes()
-        assert served.weight(nodes).tobytes() == plan.tp.weight(nodes).tobytes()
-    # A node count that no level has is refused, not sliced.
-    missing = plan.meshes[-1].size + 1
-    for coefficient in (served.qtilde, served.weight):
-        with pytest.raises(ValueError, match=f"no level of this study has {missing} nodes"):
-            coefficient(np.zeros(missing))
+        assert tp.qtilde(nodes).tobytes() == plan.tp.qtilde(nodes).tobytes()
+        assert tp.weight(nodes).tobytes() == plan.tp.weight(nodes).tobytes()
 
 
-def test_levels_of_one_size_evaluate_their_own_nodes():
-    # A node count would not name one level, so nothing is served.
+def test_levels_of_one_size_each_get_their_own_slice():
+    # Two meshes of one size, but with different nodes: each level is
+    # served its own slice, not the other's.
     tp = transformed(builtin("laguerre", alpha=3.0), "de")
     meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=2, N=4)]
-    assert study._served_problem(tp, meshes) is tp
+    served = [(level.qtilde(mesh.nodes), level.weight(mesh.nodes))
+              for level, mesh in zip(study._level_problems(tp, meshes), meshes)]
+    assert served[0][0].tobytes() != served[1][0].tobytes()
+    for (qvals, wvals), mesh in zip(served, meshes):
+        assert qvals.tobytes() == tp.qtilde(mesh.nodes).tobytes()
+        assert wvals.tobytes() == tp.weight(mesh.nodes).tobytes()
+
+
+def test_failing_bulk_evaluation_serves_every_level_the_problem_itself():
+    def qtilde(t):
+        raise ValueError("not on every node")
+
+    tp = TransformedProblem(qtilde=qtilde, weight=np.ones_like)
+    meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=4, N=5)]
+    assert [level is tp for level in study._level_problems(tp, meshes)] == [True, True]
 
 
 @pytest.mark.parametrize("method,balanced,ns,message", [
@@ -458,3 +469,19 @@ def test_studies_and_direct_solves_are_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert results == serial
+
+
+def test_study_refuses_non_integer_levels_and_indices(monkeypatch):
+    problem = builtin("bessel", n=7)
+    solved = count_calls(monkeypatch, study, "solve_generalized")
+    with pytest.raises(ValueError, match="^refinement levels must be integers, got 2.5$"):
+        convergence_study(problem, "de", [2.5, 3.7], balanced=True)
+    with pytest.raises(ValueError, match="^eigenvalue indices must be integers, got 2.0$"):
+        convergence_study(problem, "de", [3, 4], eig_indices=(2.0,))
+    assert solved == []
+    # numpy integers are integers.
+    records = convergence_study(problem, "de", np.arange(2, 5), eig_indices=(np.int64(1),))
+    plain = convergence_study(problem, "de", [2, 3, 4])
+    assert ([dataclasses.replace(r, runtime_ms=0.0) for r in records]
+            == [dataclasses.replace(r, runtime_ms=0.0) for r in plain])
+    assert [(type(r.n), type(r.eig_index)) for r in records] == [(int, int)] * 3
