@@ -11,12 +11,12 @@ exports what the pipeline, the command line and the benchmark call.
 
 from .eigensolve import (AssemblyError, DefinitenessError, GeneralizedSystem,
                          SolverError, Spectrum, assemble, solve_generalized)
-from .expressions import ExpressionError, parse_expression
-from .maps import EvaluationError, TransformedProblem, map_catalog, transform_problem
-from .meshing import (DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric,
-                      diff_matrix, se_mesh)
-from .problems import (ConfigError, SturmLiouvilleProblem, builtin, parse_problem_config,
-                       reference_eigenvalue, transformed)
+from .meshing import (DEProfile, EvaluationError, MeshConfig, SEProfile, TransformedProblem,
+                      de_mesh, de_mesh_symmetric, diff_matrix, map_catalog, se_mesh,
+                      transform_problem)
+from .problems import (ConfigError, ExpressionError, SturmLiouvilleProblem, builtin,
+                       parse_expression, parse_problem_config, reference_eigenvalue,
+                       transformed)
 from .study import (InsufficientDataError, StudyError, StudyRecord, compare_methods,
                     convergence_study, emit_csv, rate_fit)
 

@@ -5,6 +5,7 @@ Diagnostics go to stderr; the study summary and any rate fit go to stdout.
 """
 
 import argparse
+import os
 import sys
 
 from .problems import BUILTIN_NAMES, ConfigError, builtin, parse_problem_config
@@ -87,6 +88,7 @@ def _report_fit(label, records):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    created = False  # the probe made args.output, so a failed run removes it
     try:
         if args.n_min < 1 or args.n_max < args.n_min:
             raise ConfigError(f"invalid refinement range [{args.n_min}, {args.n_max}]")
@@ -97,11 +99,14 @@ def main(argv=None) -> int:
         ns = range(args.n_min, args.n_max + 1)
         problem = _load_problem(args)
 
-        # Probed before the study, in append mode so nothing is truncated: an
-        # unwritable destination costs no solve, and a run that fails leaves
-        # an existing file as it was.  It is written once the records exist.
-        with open(args.output, "a"):
-            pass
+        # Probed before the study, so an unwritable destination costs no
+        # solve; an existing file is opened in append mode, so a run that
+        # fails leaves it as it was.  It is written once the records exist.
+        try:
+            open(args.output, "x").close()
+            created = True
+        except FileExistsError:
+            open(args.output, "a").close()
         if args.compare:
             if args.problem == "singular" and problem.de_profile.kappa != 1.0:
                 # Compare the plain whole-line map against the requested one.
@@ -120,6 +125,7 @@ def main(argv=None) -> int:
                 _report_fit(args.method, records)
         with open(args.output, "w", newline="") as handle:
             emit_csv(records, handle)
+        created = False
         print(f"wrote {len(records)} records to {args.output}")
         return 0
     except (ValueError, OSError) as exc:
@@ -129,6 +135,9 @@ def main(argv=None) -> int:
     except StudyError as exc:
         print(f"slsolve: solver error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if created:
+            os.remove(args.output)
 
 
 if __name__ == "__main__":

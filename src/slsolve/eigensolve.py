@@ -74,8 +74,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .meshing import MeshConfig, diff_matrix
-from .maps import EvaluationError, TransformedProblem
+from .meshing import EvaluationError, MeshConfig, TransformedProblem, diff_matrix
 
 # Weight grading max(w)/min(w) above which the congruence route is
 # abandoned for the shifted factorization route.
@@ -331,8 +330,8 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     w = np.asarray(system.weights, dtype=float)
     if count is None:
         count = w.size
-    elif count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
+    elif not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     # One minimum and one maximum serve the weight checks and the grading
     # test; the mask is built only when they fail (a NaN entry makes both
     # NaN).  The initial values let an empty w through to the shape check.

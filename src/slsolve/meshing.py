@@ -1,4 +1,35 @@
-"""Mesh-size and truncation selection from solution decay profiles.
+"""Conformal maps, transformed coefficients, sinc meshes and the sinc matrix.
+
+Each map phi sends the real line onto the open interval of the problem,
+pushing the endpoints to -inf/+inf, and carries closed-form first,
+second, and third derivatives.  Under the substitution
+``v = u(phi) / sqrt(phi')`` the equation -u'' + q u = lambda rho u turns
+into -v'' + qtilde v = lambda * rho(phi) * phi'^2 * v with
+
+    qtilde = 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi),
+
+which is the fully expanded form of the curvature term
+-sqrt(phi') d/dt[(1/phi') d/dt sqrt(phi')]; the expansion avoids both a
+symbolic engine and numerical differentiation noise.
+
+Catalog (decay of the transformed solution in parentheses):
+
+    interval      SE map                  DE map
+    (0, 1)        tanh(t)/2 + 1/2         tanh(sinh t)/2 + 1/2
+    (0, inf)      arcsinh(e^t)            arcsinh(e^(sinh t))
+    (-inf, inf)   t                       kappa * sinh(t)
+
+Each DE map is the SE map of its interval after kappa * sinh(t)
+(Takahasi & Mori, 1974), so only the three SE maps are written out and a
+DE jet is an SE jet through the chain rule.  The interval kind, the
+decay kind and kappa pick the map, so a problem stores only its interval
+kind and kappa.  A map is its jet (phi, phi', phi'', phi''') on a whole
+numpy array of t at once, with numpy's elementary functions, and
+``map_catalog`` returns that jet.  The half-line maps write arcsinh(e^y)
+as y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
+``transform_problem(jet, q, rho)`` gives the one evaluation path of the
+transformed coefficients, ``qtilde`` and ``weight`` on arrays of t, which
+call q and rho once each, on the whole array phi(t).
 
 A transformed problem comes with decay constants describing how fast its
 solution dies off along the real axis, one profile per map.  A
@@ -23,9 +54,194 @@ builds for a mesh's truncation (M, N); the basis is never evaluated.
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.special
+
+INTERVAL_KINDS = ("unit", "half_line", "real_line")
+DECAY_KINDS = ("SE", "DE")
+
+
+class EvaluationError(ValueError):
+    """A transformed-coefficient evaluation failed at a collocation point.
+
+    ``reason`` is the message without the point, which ``point`` holds.
+    """
+
+    def __init__(self, message: str, point: float):
+        super().__init__(f"{message} (at t={point!r})")
+        self.reason = message
+        self.point = point
+
+
+def _sech2(y):
+    # 1/cosh^2: cosh(y) -> inf gives a clean 0.
+    c = np.cosh(y)
+    return 1.0 / (c * c)
+
+
+def _asinh_exp_jet(y):
+    """y -> arcsinh(e^y) and its first three derivatives, branch-stable in y.
+
+    Let e = e^(-|y|), a = e^min(y, 0) and b = e^(-max(y, 0)), so that
+    (a, b) is (1, e) for y > 0 and (e, 1) for y <= 0.  Both signs share
+    r = (1 + e^2)^(-1/2): with c = b^2 r^2 = 1 - psi'^2 the derivatives
+    are psi' = a r, psi'' = psi' c and psi''' = psi'' (3c - 2).  The value
+    max(y, 0) + log1p(a + e^2 / (1 + 1/r)) is y + log(1 + 1/r) for y > 0
+    and arcsinh(e) for y <= 0.
+    """
+    y_pos = np.maximum(y, 0.0)
+    a = np.exp(np.minimum(y, 0.0))
+    b = np.exp(-y_pos)
+    g = (a * b) ** 2
+    root = np.sqrt(1.0 + g)
+    r = 1.0 / root
+    p1 = a * r
+    c = (b * r) ** 2
+    p2 = p1 * c
+    value = y_pos + np.log1p(a + g / (1.0 + root))
+    return value, p1, p2, p2 * (3.0 * c - 2.0)
+
+
+def _unit_se_jet(t):
+    u = np.tanh(t)
+    s2 = _sech2(t)
+    return 0.5 * u + 0.5, 0.5 * s2, -s2 * u, s2 * (2.0 * u * u - s2)
+
+
+def _real_line_se_jet(t):
+    zero = np.zeros(t.shape, t.dtype)
+    return t.copy(), zero + 1.0, zero, zero
+
+
+_SE_JETS = {"unit": _unit_se_jet, "half_line": _asinh_exp_jet, "real_line": _real_line_se_jet}
+
+
+def _de_jet(outer, kappa=1.0):
+    """The jet of t -> outer(kappa sinh t), by the chain rule.
+
+    With s = kappa sinh t and c = kappa cosh t, the derivatives are
+    f' c, f'' c^2 + f' s and (f''' c^2 + 3 f'' s + f') c.  Multiplying by
+    kappa = 1 is exact, so it is skipped.
+    """
+    def jet(t):
+        s, c = np.sinh(t), np.cosh(t)
+        if kappa != 1.0:
+            s, c = kappa * s, kappa * c
+        f0, f1, f2, f3 = outer(s)
+        c2 = c * c
+        return f0, f1 * c, f2 * c2 + f1 * s, (f3 * c2 + 3.0 * f2 * s + f1) * c
+    return jet
+
+
+def map_catalog(interval_kind: str, decay_kind: str, kappa: float = 1.0) -> Callable:
+    """The jet of a catalog map; kappa rescales only the real-line DE map.
+
+    The jet takes a float numpy array of t and returns the arrays
+    (phi, phi', phi'', phi'''), computed together so they share
+    subexpressions; far out in the tails it can overflow, so call it under
+    ``np.errstate``.  It keeps no state, so it is safe to share across
+    threads.
+    """
+    if interval_kind not in INTERVAL_KINDS:
+        raise ValueError(f"unknown interval kind {interval_kind!r}; expected one of {INTERVAL_KINDS}")
+    if decay_kind not in DECAY_KINDS:
+        raise ValueError(f"unknown decay kind {decay_kind!r}; expected one of {DECAY_KINDS}")
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"map scale must be positive, got kappa={kappa!r}")
+    if kappa != 1.0 and (interval_kind, decay_kind) != ("real_line", "DE"):
+        raise ValueError("kappa != 1 is only supported for the real-line DE map")
+    jet = _SE_JETS[interval_kind]
+    if decay_kind == "DE":
+        jet = _de_jet(jet, kappa)
+    return jet
+
+
+def _values(f, x):
+    """``f`` called once, on the whole array ``x``, as floats.
+
+    The result has the shape of ``x``, or is a scalar when ``f`` returns
+    one constant.
+    """
+    values = np.asarray(f(x), dtype=float)
+    if values.ndim == 0 or values.shape == x.shape:
+        return values
+    return np.broadcast_to(values, x.shape)
+
+
+def _raise_at(bad, t, describe):
+    """Raise EvaluationError at the first entry flagged in ``bad``."""
+    i = int(np.flatnonzero(bad)[0])
+    raise EvaluationError(describe(i), point=float(t.flat[i]))
+
+
+def _qtilde(jet, q, t):
+    x, p1, p2, p3 = jet
+    qx = _values(q, x)
+    r = p2 / p1
+    out = 0.75 * r * r - p3 / (2.0 * p1) + p1 * p1 * qx
+    ok = np.isfinite(out)
+    if not ok.all():
+        def describe(i):
+            xi, d = float(x.flat[i]), float(p1.flat[i])
+            if not d > 0.0:
+                return f"map derivative must be positive, got {d!r}"
+            if not math.isfinite(np.broadcast_to(qx, x.shape).flat[i]):
+                return f"coefficient q undefined or non-finite at x={xi!r}"
+            return f"transformed coefficient non-finite at x={xi!r}"
+        _raise_at(~ok, t, describe)
+    return out
+
+
+def _weight(jet, rho, t):
+    x, p1 = jet[0], jet[1]
+    w = _values(rho, x) * p1 * p1
+    if not (w.min() > 0.0 and w.max() < np.inf):
+        def describe(i):
+            xi, wi = float(x.flat[i]), float(w.flat[i])
+            if wi > 0.0 or math.isnan(wi):
+                return f"transformed weight undefined or non-finite at x={xi!r}"
+            return f"transformed weight must be positive, got {wi!r}"
+        _raise_at(~((w > 0.0) & (w < np.inf)), t, describe)
+    return w
+
+
+def _evaluate(combine, jet, f, t):
+    """``combine(jet(t), f, t)`` for a float array of t, warnings off."""
+    with np.errstate(all="ignore"):
+        return combine(jet(t), f, t)
+
+
+@dataclass(frozen=True)
+class TransformedProblem:
+    """A problem after the change of variables, ready for collocation.
+
+    ``qtilde(t)`` is 3/4 (phi''/phi')^2 - phi'''/(2 phi') + phi'^2 q(phi)
+    and ``weight(t)`` is rho(phi) phi'^2, each on a float numpy array of t,
+    with a result of its shape; they are the one way to evaluate the
+    transformed coefficients.  Each evaluates the map's jet on t and calls
+    q or rho once, on the array of all phi(t), and raises EvaluationError
+    at the first entry of t where its result is not finite, or, for the
+    weight, not positive.  Neither keeps state of its own between calls,
+    so both are safe to share across threads.
+    """
+
+    qtilde: Callable
+    weight: Callable
+
+
+def transform_problem(jet: Callable, q, rho) -> TransformedProblem:
+    """The transformed coefficient and weight of q and rho under a map.
+
+    ``jet`` is a map as ``map_catalog`` returns it.  Samples the weight on
+    t in [-3, 3] so a sign mistake in rho surfaces at construction rather
+    than deep inside an assembly.
+    """
+    _evaluate(_weight, jet, rho, np.arange(-12, 13) / 4.0)
+    return TransformedProblem(qtilde=lambda t: _evaluate(_qtilde, jet, q, t),
+                              weight=lambda t: _evaluate(_weight, jet, rho, t))
+
 
 _D_BOUND_SLACK = 1e-12
 # The largest pencil size M + N + 1 a mesh may have.  The DE series
@@ -68,7 +284,7 @@ class DEProfile:
     """DE decay ``exp(-beta e^(gamma |t|))`` per tail, strip half-width d, map scale kappa.
 
     d <= pi / (2 max(gamma)) and kappa is positive and finite;
-    ``maps.map_catalog`` checks kappa against the interval when a problem
+    ``map_catalog`` checks kappa against the interval when a problem
     declares the profile.
     """
 

@@ -10,8 +10,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .eigensolve import assemble, solve_generalized
-from .maps import TransformedProblem
-from .meshing import de_mesh, de_mesh_symmetric, se_mesh
+from .meshing import TransformedProblem, de_mesh, de_mesh_symmetric, se_mesh
 from .problems import SturmLiouvilleProblem, reference_eigenvalue, transformed
 
 # Errors at or below this, relative to max(1, |mu|), are double-precision

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from slsolve import maps, study
+from slsolve import meshing, study
 from slsolve.cli import main
 from test_study import count_calls
 
@@ -162,6 +162,18 @@ def test_failed_run_leaves_existing_output_unchanged(tmp_path, capsys, config, m
     assert str(out) not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("config,flags,code", [(DE_ONLY, ["--eig-index", "0"], 2), (EXPLODING, [], 3)],
+                         ids=["config-error-in-plan", "solver-error"])
+def test_failed_run_removes_the_output_it_created(tmp_path, config, flags, code):
+    # The destination is created when it is checked, before the study.
+    problem = tmp_path / "problem.slp"
+    problem.write_text(config)
+    out = tmp_path / "results.csv"
+    assert main(["--problem", str(problem), "--method", "de", *flags, "--n-min", "3",
+                 "--n-max", "6", "--output", str(out)]) == code
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--compare", "--method", "se"], ["--method", "se", "--balanced"],
                                    ["--compare", "--balanced"]],
                          ids=["compare-method", "se-balanced", "compare-balanced"])
@@ -276,7 +288,7 @@ def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, monkeypatc
     config.write_text("interval = realline\nmap = de\nq = x^2\nrho = 1\n"
                       f"d = {math.pi / 2000}\nbeta_l = 1\nbeta_r = 1\ngamma_l = 1000\n"
                       "gamma_r = 1\n")
-    evaluated = count_calls(monkeypatch, maps, "_qtilde")
+    evaluated = count_calls(monkeypatch, meshing, "_qtilde")
     solved = count_calls(monkeypatch, study, "solve_generalized")
     argv = ["--problem", str(config), "--n-min", "2", "--output", str(tmp_path / "x.csv")]
     assert main([*argv, *flags, "--n-max", "10"]) == 2

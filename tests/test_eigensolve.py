@@ -310,11 +310,12 @@ def test_count_on_graded_pencils_matches_the_full_solve(name):
 def test_count_bounds(n):
     # n=4 takes the congruence route, n=15 the graded one.
     system = _bessel_system(n)
-    with pytest.raises(ValueError):
-        solve_generalized(system, count=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            solve_generalized(system, count=bad)
     full = solve_generalized(system)
     pairs = solve_generalized(system, compute_vectors=True)
-    for count in (system.size, system.size + 1):
+    for count in (system.size, system.size + 1, np.int64(system.size)):
         spectrum = solve_generalized(system, count=count)
         assert np.array_equal(spectrum.eigenvalues, full.eigenvalues)
         spectrum = solve_generalized(system, compute_vectors=True, count=count)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from slsolve import DEProfile, de_mesh
+from test_meshing import bisect_w
 
 
 def lambert_w(x):
@@ -19,26 +20,13 @@ def lambert_w(x):
     return de_mesh(profile, 1).h, math.pi / beta
 
 
-def bisect_w(target, lo, hi, tol=1e-15):
-    # independent root bracketing of w*e^w - target
-    f = lambda w: w * math.exp(w) - target
-    assert f(lo) < 0.0 < f(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_e_maps_to_one():
     assert lambert_w(math.e)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_value_at_ten_matches_bisection():
     w, x = lambert_w(10.0)
-    expected = bisect_w(x, 1.0, 2.0)
+    expected = bisect_w(x, 1.0, 2.0, 1e-15)
     assert expected == pytest.approx(1.7455280027406994, abs=1e-13)
     assert w == pytest.approx(expected, abs=1e-13)
 

@@ -8,8 +8,10 @@ from slsolve import DEProfile, MeshConfig, SEProfile, de_mesh, de_mesh_symmetric
 from slsolve.meshing import MAX_SIZE
 
 
-def bisect_w(target, lo=0.0, hi=20.0, tol=5e-15):
+def bisect_w(target, lo, hi, tol):
+    # independent root bracketing of w*e^w - target
     f = lambda w: w * math.exp(w) - target
+    assert f(lo) < 0.0 < f(hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
@@ -73,7 +75,7 @@ def test_symmetric_profile_gives_equal_truncation():
 def test_bessel_case_matches_direct_formulas():
     # equal gammas, larger left beta: M governs, N from the ceiling formula
     n = 20
-    w = bisect_w(10.0 * math.pi**2 / 7.0)
+    w = bisect_w(10.0 * math.pi**2 / 7.0, 0.0, 20.0, 5e-15)
     mesh = de_mesh(BESSEL7, n)
     assert mesh.M == n
     assert mesh.h == pytest.approx(w / n, rel=1e-12)
@@ -83,7 +85,7 @@ def test_bessel_case_matches_direct_formulas():
 def test_laguerre_case_matches_direct_formulas():
     # gamma_right > gamma_left: N governs, M from the floor formula
     n = 30
-    w = bisect_w(480.0 * math.pi**2, hi=30.0)
+    w = bisect_w(480.0 * math.pi**2, 0.0, 30.0, 5e-15)
     mesh = de_mesh(LAGUERRE3, n)
     assert mesh.N == n
     assert mesh.h == pytest.approx(w / 60.0, rel=1e-12)

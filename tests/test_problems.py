@@ -93,7 +93,7 @@ def test_builtin_parameter_validation():
         builtin("singular", kappa=1.5)
     with pytest.raises(ValueError):
         builtin("airy")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"problem 'bessel' does not take parameters \['alpha'\]"):
         builtin("bessel", alpha=1.0)
 
 
@@ -249,8 +249,11 @@ def test_config_expression_errors_carry_line():
     ("map = de", "map = se", "map = se requires alpha_se and rho_decay_se"),
     ("d = 1.5707963267948966", "d = wide", "value for 'd' must be a number, got 'wide' (line 9)"),
     ("gamma_r = 1\n", "gamma_r = 1\nkappa = -1\n", "DE profile needs positive kappa, got -1.0"),
+    ("param n = 7", "param n = nan", "value for 'param n' must be finite, got 'nan' (line 6)"),
+    ("param n = 7", "param n = -inf", "value for 'param n' must be finite, got '-inf' (line 6)"),
+    ("param n = 7", "param n = 1e400", "value for 'param n' must be finite, got '1e400' (line 6)"),
 ], ids=["no-equals", "no-value", "param-name", "unknown-key", "interval", "map", "no-d",
-        "se-constants", "number", "kappa"])
+        "se-constants", "number", "kappa", "param-nan", "param-inf", "param-overflow"])
 def test_config_refusals(old, new, message):
     assert old in CONFIG_BESSEL
     with pytest.raises(ConfigError) as info:

@@ -1,5 +1,6 @@
 """The README's examples run as written, and what it states about them holds."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import slsolve
 from slsolve.eigensolve import WARM_MIN_SIZE, WARM_MIN_SIZE_ONE
-from slsolve.expressions import FUNCTIONS
+from slsolve.problems import FUNCTIONS
 from slsolve.meshing import MAX_SIZE
 from slsolve import convergence_study, parse_problem_config
 from slsolve.cli import main
@@ -74,10 +75,43 @@ def test_library_names_are_the_exports():
 
 
 def test_expression_functions_are_the_compiler_table():
-    # The README's list "sin, ..., abs." is expressions.FUNCTIONS, in order.
+    # The README's list "sin, ..., abs." is problems.FUNCTIONS, in order.
     text = " ".join(README.split())
     listed = text[text.index("sin, cos,"):].split(".", 1)[0]
     assert [name.strip() for name in listed.split(",")] == list(FUNCTIONS)
+
+
+def imported_modules(source):
+    """The package modules a module imports; "__init__" stands for the package itself."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("slsolve." if node.level else "") + (node.module or "")
+            paths = [base] if node.module else [base + alias.name for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            package, _, module = path.partition(".")
+            if package == "slsolve":
+                yield module.partition(".")[0] or "__init__"
+
+
+def test_modules_import_in_the_stated_direction():
+    # "`meshing` → {`problems`, `eigensolve`} → `study` → `cli`": each module
+    # imports only modules of a lower rank, and the package's own
+    # __init__ is imported by none of them.
+    order = re.search(r"`meshing` → .* → `cli`", " ".join(README.split())).group(0)
+    rank = {name: i for i, part in enumerate(order.split(" → "))
+            for name in re.findall(r"`(\w+)`", part)}
+    rank["__init__"] = len(rank)
+    package = Path(slsolve.__file__).parent
+    assert {path.stem for path in package.glob("*.py")} == set(rank)
+    # A name that is not a module, as in "from . import builtin", is the package.
+    upward = [(name, imported) for name in rank if name != "__init__"
+              for imported in imported_modules((package / f"{name}.py").read_text())
+              if rank.get(imported, rank["__init__"]) >= rank[name]]
+    assert upward == []
 
 
 def test_size_budget_is_the_meshing_constant():
