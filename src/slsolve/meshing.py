@@ -122,13 +122,10 @@ def _de_jet(outer, kappa=1.0):
     """The jet of t -> outer(kappa sinh t), by the chain rule.
 
     With s = kappa sinh t and c = kappa cosh t, the derivatives are
-    f' c, f'' c^2 + f' s and (f''' c^2 + 3 f'' s + f') c.  Multiplying by
-    kappa = 1 is exact, so it is skipped.
+    f' c, f'' c^2 + f' s and (f''' c^2 + 3 f'' s + f') c.
     """
     def jet(t):
-        s, c = np.sinh(t), np.cosh(t)
-        if kappa != 1.0:
-            s, c = kappa * s, kappa * c
+        s, c = kappa * np.sinh(t), kappa * np.cosh(t)
         f0, f1, f2, f3 = outer(s)
         c2 = c * c
         return f0, f1 * c, f2 * c2 + f1 * s, (f3 * c2 + 3.0 * f2 * s + f1) * c
@@ -319,7 +316,8 @@ class SEProfile:
 class MeshConfig:
     """Mesh size h together with the truncation indices M (left), N (right).
 
-    The pencil size M + N + 1 must not exceed MAX_SIZE.
+    The pencil size M + N + 1 must not exceed MAX_SIZE, and h^2 and 1/h^2
+    must be finite and positive: the sinc matrix is scaled by 1/h^2.
     """
 
     h: float
@@ -329,6 +327,10 @@ class MeshConfig:
     def __post_init__(self):
         if self.h <= 0.0 or not math.isfinite(self.h):
             raise ValueError(f"mesh size must be positive, got h={self.h!r}")
+        h2 = float(self.h) * float(self.h)
+        if not (h2 > 0.0 and math.isfinite(h2) and math.isfinite(1.0 / h2)):
+            raise ValueError(f"mesh size h={self.h!r} is out of range: h^2 and 1/h^2 "
+                             "must be finite and positive")
         _check_truncation(self.M, self.N)
 
     @property

@@ -350,8 +350,11 @@ def parse_expression(text: str, params: Optional[Mapping[str, float]] = None,
 
 
 _INTERVALS = {"unit": "unit", "halfline": "half_line", "realline": "real_line"}
-_SCALAR_KEYS = ("kappa", "d", "beta_l", "beta_r", "gamma_l", "gamma_r",
-                "alpha_se", "rho_decay_se")
+# The config key of each decay constant, by its profile field.
+_DE_KEYS = {"beta_left": "beta_l", "beta_right": "beta_r",
+            "gamma_left": "gamma_l", "gamma_right": "gamma_r"}
+_SE_KEYS = {"alpha": "alpha_se", "rho_decay": "rho_decay_se"}
+_SCALAR_KEYS = ("kappa", "d", *_DE_KEYS.values(), *_SE_KEYS.values())
 
 
 def parse_problem_config(text: str) -> SturmLiouvilleProblem:
@@ -424,9 +427,9 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
     if "d" not in fields:
         raise ConfigError("missing mandatory field 'd'")
 
-    missing_de = [k for k in ("beta_l", "beta_r", "gamma_l", "gamma_r") if k not in fields]
+    missing_de = [k for k in _DE_KEYS.values() if k not in fields]
     have_de = not missing_de
-    have_se = "alpha_se" in fields and "rho_decay_se" in fields
+    have_se = all(k in fields for k in _SE_KEYS.values())
     if declared_map == "de" and not have_de:
         raise ConfigError(f"map = de requires decay constants {missing_de}")
     if declared_map == "se" and not have_se:
@@ -436,12 +439,11 @@ def parse_problem_config(text: str) -> SturmLiouvilleProblem:
 
     try:
         de_profile = DEProfile(
-            beta_left=fields["beta_l"], beta_right=fields["beta_r"],
-            gamma_left=fields["gamma_l"], gamma_right=fields["gamma_r"],
+            **{name: fields[key] for name, key in _DE_KEYS.items()},
             d=fields["d"], kappa=fields.get("kappa", 1.0),
         ) if have_de else None
         se_profile = SEProfile(
-            alpha=fields["alpha_se"], rho_decay=fields["rho_decay_se"], d=fields["d"],
+            **{name: fields[key] for name, key in _SE_KEYS.items()}, d=fields["d"],
         ) if have_se else None
         return SturmLiouvilleProblem(
             name=fields.get("name", "custom"),

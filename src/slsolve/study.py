@@ -79,7 +79,7 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     ``meshing.MAX_SIZE`` or is too small raises before any solve, a
     ValueError that names the level as a StudyError does.  It evaluates
     the transformed coefficient and weight once each, on the nodes of all
-    levels together (built in one array expression), inside the first
+    levels together (each mesh's ``nodes`` in a row), inside the first
     level's timed window.  Then it assembles and solves level by level,
     each level reading its own slice of that evaluation.  When the
     evaluation on all nodes raises, each level evaluates its own nodes
@@ -129,7 +129,6 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
         raise ValueError("balanced truncation applies only to the DE method")
     count = max(indices)
     tp = transformed(problem, method)
-    refs = {i: reference_eigenvalue(problem, i) for i in indices}
     profile = problem.se_profile if method == "se" else problem.de_profile
     mesh_for = se_mesh if method == "se" else de_mesh if balanced else de_mesh_symmetric
     meshes = []
@@ -144,21 +143,9 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
                 ValueError(f"eigenvalue index {count} exceeds matrix dimension {mesh.size}"),
             )
         meshes.append(mesh)
+    # Only once every index fits the meshes: a reference's cost grows with its index.
+    refs = {i: reference_eigenvalue(problem, i) for i in indices}
     return _Plan(problem, method, tuple(indices), tp, refs, ns, meshes)
-
-
-def _bulk_nodes(meshes):
-    """The nodes of every mesh in a row, and each mesh's first index in that row.
-
-    One expression, k*h with k and h repeated per mesh, gives them all;
-    each mesh's run is bitwise its ``mesh.nodes``.
-    """
-    sizes = np.array([mesh.size for mesh in meshes])
-    starts = np.cumsum(sizes) - sizes
-    lefts = np.array([mesh.M for mesh in meshes])
-    steps = np.array([mesh.h for mesh in meshes])
-    k = np.arange(sizes.sum(), dtype=float) - np.repeat(starts + lefts, sizes)
-    return k * np.repeat(steps, sizes), starts
 
 
 def _level_problems(tp: TransformedProblem, meshes):
@@ -170,14 +157,16 @@ def _level_problems(tp: TransformedProblem, meshes):
     nodes give.  If either call raises, every level gets ``tp`` itself and
     evaluates its own nodes, so the level that fails raises its own error.
     """
-    t, starts = _bulk_nodes(meshes)
+    t = np.concatenate([mesh.nodes for mesh in meshes])
     try:
         qvals, wvals = tp.qtilde(t), tp.weight(t)
     except Exception:
         yield from itertools.repeat(tp, len(meshes))
         return
-    for start, mesh in zip(starts.tolist(), meshes):
+    start = 0
+    for mesh in meshes:
         level = slice(start, start + mesh.size)
+        start += mesh.size
         yield TransformedProblem(qtilde=lambda _, q=qvals[level]: q,
                                  weight=lambda _, w=wvals[level]: w)
 

@@ -14,6 +14,9 @@ EXPLODING = ("interval = realline\nmap = de\nq = log(x)\nrho = 1\n"
 # Declares DE constants only, so --method se is refused when the study is planned.
 DE_ONLY = ("interval = unit\nmap = de\nq = 1/x^2\nrho = 1\nd = 1.5\n"
            "beta_l = 7\nbeta_r = 0.5\ngamma_l = 1\ngamma_r = 1\n")
+# d = 1e-300 gives h = 3.1e-300 at n = 2, whose square underflows to 0.
+THIN_STRIP = ("interval = unit\nmap = de\nq = 1\nrho = 1\nd = 1e-300\n"
+              "beta_l = 1\nbeta_r = 1\ngamma_l = 1\ngamma_r = 1\n")
 
 
 def read_rows(path):
@@ -190,11 +193,14 @@ def test_ignored_flag_combination_is_config_error(tmp_path, capsys, flags):
     ("de-only", ["--method", "se"], "problem 'custom' declares no se transformation data"),
     ("bessel", ["--param", "n7", "--method", "de"], "--param expects NAME=VALUE, got 'n7'"),
     ("bessel", ["--param", "n=x", "--method", "de"], "--param 'n' must be numeric, got 'x'"),
-], ids=["undeclared-method", "param-without-equals", "param-not-numeric"])
+    ("thin-strip", ["--method", "de"], "problem='custom' method='de' n=2: mesh size "
+     "h=3.141592653589793e-300 is out of range: h^2 and 1/h^2 must be finite and positive"),
+], ids=["undeclared-method", "param-without-equals", "param-not-numeric", "mesh-size-underflow"])
 def test_problem_refusals_are_config_errors(tmp_path, capsys, problem, flags, message):
-    if problem == "de-only":
-        problem = tmp_path / "de-only.slp"
-        problem.write_text(DE_ONLY)
+    configs = {"de-only": DE_ONLY, "thin-strip": THIN_STRIP}
+    if problem in configs:
+        (tmp_path / problem).write_text(configs[problem])
+        problem = tmp_path / problem
     code = main(["--problem", str(problem), *flags, "--n-min", "2", "--n-max", "5",
                  "--output", str(tmp_path / "x.csv")])
     assert code == 2
@@ -295,6 +301,11 @@ def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, monkeypatc
     # The refusal names the level, as a StudyError does.
     assert ("configuration error: problem='custom' method='de' n=5: pencil size 5006 "
             "(M=5, N=5000) exceeds the size budget 4096") in capsys.readouterr().err
+    # A range far past the budget is refused at once, as one just past it is.
+    assert main([*argv, *flags, "--n-max", str(10**20)]) == 2
+    beyond = capsys.readouterr().err
+    assert main([*argv, *flags, "--n-max", "5000"]) == 2
+    assert capsys.readouterr().err == beyond and "exceeds the size budget 4096" in beyond
     assert evaluated == [] and solved == []
     # The counters see the symmetric series, whose sizes are 2n + 1.
     assert main([*argv, "--method", "de", "--n-max", "3"]) == 0

@@ -53,6 +53,10 @@ def test_mesh_config_validation():
         MeshConfig(h=0.1, M=-1, N=1)
     with pytest.raises(ValueError, match="^truncation indices must be integers, got M=2.5, N=3$"):
         MeshConfig(h=0.5, M=2.5, N=3)
+    # assemble divides by h^2, which underflows to 0 here.
+    with pytest.raises(ValueError, match=r"^mesh size h=3.1e-300 is out of range: h\^2 and 1/h\^2 "
+                                         "must be finite and positive$"):
+        MeshConfig(h=3.1e-300, M=1, N=1)
     assert MeshConfig(h=0.1, M=2, N=3).size == 6
     assert MeshConfig(h=0.1, M=np.int64(2), N=np.int64(3)).size == 6
 
@@ -219,6 +223,8 @@ def test_any_positive_constants_give_a_mesh_or_a_value_error(beta_left, beta_rig
         except ValueError:
             continue
         assert math.isfinite(config.h) and config.h > 0.0
+        h2 = config.h * config.h
+        assert h2 > 0.0 and math.isfinite(h2) and math.isfinite(1.0 / h2)
         assert config.M >= 0 and config.N >= 0
 
 

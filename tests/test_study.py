@@ -272,6 +272,14 @@ def test_study_checks_index_before_assembly(monkeypatch):
     assert assembled == []
 
 
+def test_study_checks_index_before_reference(monkeypatch):
+    # jn_zeros would take time and memory in the index, or overflow.
+    looked_up = count_calls(monkeypatch, study, "reference_eigenvalue")
+    with pytest.raises(StudyError, match=f"eigenvalue index {10**20} exceeds matrix dimension 5"):
+        convergence_study(builtin("bessel"), "de", [2], eig_indices=(10**20,))
+    assert looked_up == []
+
+
 def count_calls(monkeypatch, module, name):
     """Replace ``module.name`` by a wrapper that appends each call's args to the returned list."""
     calls = []
@@ -371,9 +379,6 @@ def test_bulk_nodes_and_slices_are_each_level_alone(name, method, balanced):
     problem = (parse_problem_config(block("### Problem config files"))
                if name == "radial-well" else builtin(name))
     plan = study._plan(problem, method, range(2, 61), (1,), balanced)
-    t, starts = study._bulk_nodes(plan.meshes)
-    assert t.tobytes() == np.concatenate([mesh.nodes for mesh in plan.meshes]).tobytes()
-    assert starts.tolist() == np.cumsum([0] + [mesh.size for mesh in plan.meshes])[:-1].tolist()
     served = list(study._level_problems(plan.tp, plan.meshes))
     assert len(served) == len(plan.meshes)
     for tp, mesh in zip(served, plan.meshes):
