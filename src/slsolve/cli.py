@@ -8,7 +8,6 @@ import argparse
 import os
 import sys
 
-from .meshing import MAX_SIZE
 from .problems import BUILTIN_NAMES, ConfigError, builtin, parse_problem_config
 from .study import (InsufficientDataError, StudyError, compare_methods,
                     convergence_study, emit_csv, rate_fit)
@@ -97,9 +96,8 @@ def main(argv=None) -> int:
             raise ConfigError("exactly one of --method and --compare is required")
         if args.balanced and args.method != "de":
             raise ConfigError("--balanced applies only to --method de")
-        # Level n has M or N equal to n, so no level n >= MAX_SIZE meshes:
-        # the range ends there, at the level the size budget refuses.
-        ns = range(args.n_min, min(args.n_max, max(args.n_min, MAX_SIZE)) + 1)
+        # The study cuts a range that runs past the size budget, however far.
+        ns = range(args.n_min, args.n_max + 1)
         problem = _load_problem(args)
 
         # Probed before the study, so an unwritable destination costs no

@@ -118,7 +118,7 @@ def _real_line_se_jet(t):
 _SE_JETS = {"unit": _unit_se_jet, "half_line": _asinh_exp_jet, "real_line": _real_line_se_jet}
 
 
-def _de_jet(outer, kappa=1.0):
+def _de_jet(outer, kappa):
     """The jet of t -> outer(kappa sinh t), by the chain rule.
 
     With s = kappa sinh t and c = kappa cosh t, the derivatives are

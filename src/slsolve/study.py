@@ -1,5 +1,6 @@
 """Convergence studies, rate fitting, and CSV emission."""
 
+import bisect
 import csv
 import itertools
 import math
@@ -10,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .eigensolve import assemble, solve_generalized
-from .meshing import TransformedProblem, de_mesh, de_mesh_symmetric, se_mesh
+from .meshing import MAX_SIZE, TransformedProblem, de_mesh, de_mesh_symmetric, se_mesh
 from .problems import SturmLiouvilleProblem, reference_eigenvalue, transformed
 
 # Errors at or below this, relative to max(1, |mu|), are double-precision
@@ -76,15 +77,19 @@ def convergence_study(problem: SturmLiouvilleProblem, method: str,
     The study runs in three steps.  It plans: every level's mesh is built
     and checked against the highest index before anything is evaluated,
     so a level that cannot mesh, is over the size budget
-    ``meshing.MAX_SIZE`` or is too small raises before any solve, a
-    ValueError that names the level as a StudyError does.  It evaluates
-    the transformed coefficient and weight once each, on the nodes of all
-    levels together (each mesh's ``nodes`` in a row), inside the first
-    level's timed window.  Then it assembles and solves level by level,
-    each level reading its own slice of that evaluation.  When the
-    evaluation on all nodes raises, each level evaluates its own nodes
-    instead, so the failing level raises the StudyError it raises on its
-    own, after the levels before it have solved.
+    ``meshing.MAX_SIZE``, is too small or is smaller than the highest
+    index raises before any solve, a ValueError that names the level as a
+    StudyError does.  A range that runs past the budget, however far, is
+    refused at once at the first level over it.  It evaluates the
+    transformed coefficient and weight twice each: on the nodes of the
+    first half of the levels (each mesh's ``nodes`` in a row), inside the
+    first level's timed window, and on those of the second half, inside
+    the timed window of the first level of that half.  Then it assembles
+    and solves level by level, each level reading its own slice of its
+    half's evaluation.  When the evaluation of a half raises, each of its
+    levels evaluates its own nodes instead, so the failing level raises
+    the StudyError it raises on its own, after the levels before it have
+    solved.
 
     From the third level on, each solve is warm-started from the previous
     level's eigenvalues and how far they moved (``near`` of
@@ -117,8 +122,25 @@ def _integers(values, what) -> list:
     return [int(v) for v in values]
 
 
-def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
+def _levels(n_range) -> list:
+    """``n_range``'s distinct levels, ascending, up to the first one >= MAX_SIZE.
+
+    Level n has M or N equal to n, so no level n >= MAX_SIZE meshes: the
+    plan refuses the first of them, and never reaches those after it.  A
+    ``range`` is cut before it is listed, so one of any length is refused
+    at once.
+    """
+    if isinstance(n_range, range):
+        if n_range.step < 0:
+            n_range = n_range[::-1]
+        start, step = n_range.start, n_range.step
+        n_range = range(start, min(n_range.stop, max(start, MAX_SIZE) + step), step)
     ns = sorted(set(_integers(n_range, "refinement levels")))
+    return ns[:bisect.bisect_left(ns, MAX_SIZE) + 1]
+
+
+def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
+    ns = _levels(n_range)
     if not ns:
         raise ValueError("empty refinement range")
     indices = _integers(eig_indices or (), "eigenvalue indices")
@@ -138,10 +160,8 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
         except ValueError as exc:
             raise ValueError(f"problem={problem.name!r} method={method!r} n={n}: {exc}") from exc
         if count > mesh.size:
-            raise StudyError(
-                problem.name, method, n,
-                ValueError(f"eigenvalue index {count} exceeds matrix dimension {mesh.size}"),
-            )
+            raise ValueError(f"problem={problem.name!r} method={method!r} n={n}: "
+                             f"eigenvalue index {count} exceeds matrix dimension {mesh.size}")
         meshes.append(mesh)
     # Only once every index fits the meshes: a reference's cost grows with its index.
     refs = {i: reference_eigenvalue(problem, i) for i in indices}
@@ -149,26 +169,36 @@ def _plan(problem, method, n_range, eig_indices, balanced) -> _Plan:
 
 
 def _level_problems(tp: TransformedProblem, meshes):
-    """Each mesh's TransformedProblem in turn, all served from one evaluation of ``tp``.
+    """Each mesh's TransformedProblem in turn, served from two evaluations of ``tp``.
 
-    ``tp.qtilde`` and ``tp.weight`` are called once each, on the nodes of
-    all meshes in a row, when the first level is asked for; they act on
+    The meshes fall into two batches: the first ceil(L/2) of the L
+    levels, and the rest (none when L = 1).  ``tp.qtilde`` and
+    ``tp.weight`` are called once each per batch, on the nodes of its
+    meshes in a row, when the batch's first level is asked for.  The DE
+    series of the builtins reach 1e-10 within their first half, whose
+    pencils are the smaller ones, so the levels up to that point no longer
+    carry the evaluation of the larger levels after it.  The calls act on
     each node alone, so the slice a level returns is bitwise what its own
-    nodes give.  If either call raises, every level gets ``tp`` itself and
-    evaluates its own nodes, so the level that fails raises its own error.
+    nodes give.  If either call raises, each level of that batch gets
+    ``tp`` itself and evaluates its own nodes, so the level that fails
+    raises its own error.
     """
-    t = np.concatenate([mesh.nodes for mesh in meshes])
-    try:
-        qvals, wvals = tp.qtilde(t), tp.weight(t)
-    except Exception:
-        yield from itertools.repeat(tp, len(meshes))
-        return
-    start = 0
-    for mesh in meshes:
-        level = slice(start, start + mesh.size)
-        start += mesh.size
-        yield TransformedProblem(qtilde=lambda _, q=qvals[level]: q,
-                                 weight=lambda _, w=wvals[level]: w)
+    half = (len(meshes) + 1) // 2
+    for batch in (meshes[:half], meshes[half:]):
+        if not batch:
+            continue
+        t = np.concatenate([mesh.nodes for mesh in batch])
+        try:
+            qvals, wvals = tp.qtilde(t), tp.weight(t)
+        except Exception:
+            yield from itertools.repeat(tp, len(batch))
+            continue
+        start = 0
+        for mesh in batch:
+            level = slice(start, start + mesh.size)
+            start += mesh.size
+            yield TransformedProblem(qtilde=lambda _, q=qvals[level]: q,
+                                     weight=lambda _, w=wvals[level]: w)
 
 
 def _run(plan: _Plan) -> list:
@@ -179,7 +209,7 @@ def _run(plan: _Plan) -> list:
     # differences; with how far they moved from the level before, they
     # warm-start the solve from the third level on.
     last = near = None
-    # The first level's time includes the evaluation for every level.
+    # The first level of each half's time includes that half's evaluation.
     start = time.perf_counter()
     for n, mesh, tp in zip(plan.ns, plan.meshes, _level_problems(plan.tp, plan.meshes)):
         try:
@@ -222,7 +252,7 @@ def compare_methods(problem: SturmLiouvilleProblem, n_range: Iterable[int],
     Every series is planned, as ``convergence_study`` plans, before any
     of them is solved, so a series that cannot mesh costs no solve.
     """
-    ns = list(n_range)
+    ns = _levels(n_range)
     # (label, problem, method, balanced) of each applicable series, all
     # known before any of them runs.
     runs = []

@@ -37,8 +37,9 @@ def test_traced_study_records_every_layer_span():
         undo()
     assert len(records) == 4
     assert [name for name in SPANS if tracer.calls[name] == 0] == []
-    # A study evaluates its coefficients once, on the nodes of all levels.
-    assert tracer.count["maps.points"] == 1
+    # A study evaluates its coefficients twice, on the nodes of each half
+    # of its levels.
+    assert tracer.count["maps.points"] == 2
     # undone: the package's own functions are back in place
     assert not hasattr(study.assemble, "__wrapped__")
 

@@ -307,9 +307,22 @@ def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, monkeypatc
     assert main([*argv, *flags, "--n-max", "5000"]) == 2
     assert capsys.readouterr().err == beyond and "exceeds the size budget 4096" in beyond
     assert evaluated == [] and solved == []
-    # The counters see the symmetric series, whose sizes are 2n + 1.
+    # The counters see the symmetric series, whose sizes are 2n + 1; each
+    # of its two levels is one half of it, evaluated on its own.
     assert main([*argv, "--method", "de", "--n-max", "3"]) == 0
-    assert len(evaluated) == 1 and len(solved) == 2
+    assert len(evaluated) == 2 and len(solved) == 2
+
+
+def test_index_past_a_level_pencil_is_config_error(tmp_path, capsys):
+    # The symmetric DE mesh at n = 2 has size 5; the plan refuses the
+    # index, as it refuses every level it cannot run.
+    out = tmp_path / "x.csv"
+    assert main(["--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "3",
+                 "--eig-index", "4000000", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("slsolve: configuration error: problem='bessel' "
+                                       "method='de' n=2: eigenvalue index 4000000 exceeds "
+                                       "matrix dimension 5\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_min,n_max", [(1, 1), (1, 3), (4, 4)])

@@ -137,9 +137,11 @@ def test_generalized_matches_charpoly_oracle(dim):
 
 
 def test_generalized_rejects_nonpositive_weight():
+    # An exact zero is nonpositive, not non-finite.
     mesh = MeshConfig(h=1.0, M=1, N=1)
-    with pytest.raises(DefinitenessError):
+    with pytest.raises(DefinitenessError, match="nonpositive weight entry") as info:
         solve_generalized(GeneralizedSystem(np.eye(3), np.array([1.0, 0.0, 1.0]), mesh))
+    assert (info.value.index, info.value.point) == (0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -705,3 +707,20 @@ def test_graded_route_reports_a_failed_sygvx(monkeypatch):
     system = GeneralizedSystem(np.eye(2), np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match=r"^LAPACK sygvx failed \(info=1\)$"):
         solve_generalized(system)
+
+
+@pytest.mark.parametrize("info", [1, 2])
+def test_graded_route_reports_a_failed_sygvx_without_retrying(monkeypatch, info):
+    # 0 < info <= n: eigenvectors failed to converge, which no larger
+    # shift mends; only info > n asks for one.
+    calls = []
+
+    def failing(a, b, **kwargs):
+        calls.append(kwargs)
+        return np.zeros(2), np.zeros((2, 2)), 0, np.zeros(2, dtype=np.int32), info
+
+    monkeypatch.setattr(eigensolve, "_sygvx", failing)
+    system = GeneralizedSystem(np.eye(2), np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
+    with pytest.raises(SolverError, match=rf"^LAPACK sygvx failed \(info={info}\)$"):
+        solve_generalized(system)
+    assert len(calls) == 1

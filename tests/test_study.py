@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,37 @@ def test_rate_fit_plateau_cut_is_relative_to_mu():
     assert r2 > 0.999
 
 
+def test_rate_fit_r_squared_is_the_squared_correlation():
+    # Noisy errors, so r^2 is well inside (0, 1); for a straight-line fit
+    # it is the squared correlation of x = n/log(n) and y = log(error).
+    ns = list(range(5, 40))
+    noise = np.random.default_rng(7).standard_normal(len(ns))
+    errors = [math.exp(-1.5 * n / math.log(n) + 0.5 * z) for n, z in zip(ns, noise)]
+    kappa_hat, r2 = rate_fit(synthetic(ns, errors))
+    x = np.array([n / math.log(n) for n in ns])
+    y = np.log(errors)
+    assert r2 == pytest.approx(np.corrcoef(x, y)[0, 1] ** 2, rel=1e-12)
+    assert 0.5 < r2 < 0.99
+    assert kappa_hat == pytest.approx(-np.polyfit(x, y, 1)[0], rel=1e-12)
+
+
+def test_runtime_ms_is_each_level_share_of_the_wall_time():
+    problem = builtin("laguerre", alpha=3.0)
+    begin = time.perf_counter()
+    series = [convergence_study(problem, "de", range(2, 20), eig_indices=(1, 2)),
+              *compare_methods(problem, range(2, 12)).values()]
+    wall_ms = (time.perf_counter() - begin) * 1000.0
+    total_ms = 0.0
+    for records in series:
+        assert all(math.isfinite(r.runtime_ms) and r.runtime_ms > 0.0 for r in records)
+        # The records of one level share its time.
+        per_level = {r.n: r.runtime_ms for r in records}
+        assert all(r.runtime_ms == per_level[r.n] for r in records)
+        total_ms += sum(per_level.values())
+    # The levels' times add up to no more than the wall time around the studies.
+    assert total_ms <= wall_ms
+
+
 def write_and_parse(records, path):
     """emit_csv into a file at ``path``, read back as StudyRecords."""
     with open(path, "w", newline="") as handle:
@@ -267,7 +299,7 @@ def test_study_checks_index_before_assembly(monkeypatch):
 
     monkeypatch.setattr(study, "assemble", no_assembly)
     # The symmetric DE mesh at n=2 has size 5.
-    with pytest.raises(StudyError, match="eigenvalue index 6 exceeds matrix dimension 5"):
+    with pytest.raises(ValueError, match="eigenvalue index 6 exceeds matrix dimension 5"):
         convergence_study(builtin("singular"), "de", [2], eig_indices=(1, 6))
     assert assembled == []
 
@@ -275,9 +307,30 @@ def test_study_checks_index_before_assembly(monkeypatch):
 def test_study_checks_index_before_reference(monkeypatch):
     # jn_zeros would take time and memory in the index, or overflow.
     looked_up = count_calls(monkeypatch, study, "reference_eigenvalue")
-    with pytest.raises(StudyError, match=f"eigenvalue index {10**20} exceeds matrix dimension 5"):
+    with pytest.raises(ValueError, match=f"eigenvalue index {10**20} exceeds matrix dimension 5"):
         convergence_study(builtin("bessel"), "de", [2], eig_indices=(10**20,))
     assert looked_up == []
+
+
+def test_range_past_the_size_budget_is_refused_at_once(monkeypatch):
+    # Level n has M = N = n on the symmetric DE mesh, so n = 2048 is the
+    # first over the budget 4096, however far the range runs past it.
+    solved = count_calls(monkeypatch, study, "solve_generalized")
+    bessel = builtin("bessel")
+    with pytest.raises(ValueError) as raised:
+        convergence_study(bessel, "de", range(1, 4097))
+    assert str(raised.value) == ("problem='bessel' method='de' n=2048: pencil size 4097 "
+                                 "(M=2048, N=2048) exceeds the size budget 4096")
+    for n_range in (range(1, 10**20), range(10**20, 0, -1), [10**20, *range(1, 3000)]):
+        with pytest.raises(ValueError) as beyond:
+            convergence_study(bessel, "de", n_range)
+        assert str(beyond.value) == str(raised.value)
+    # A stepped range is cut after its first level over the budget, not before it.
+    with pytest.raises(ValueError, match="^problem='bessel' method='de' n=3001: pencil size 6003 "):
+        convergence_study(bessel, "de", range(1, 10**20, 1000))
+    with pytest.raises(ValueError, match="^problem='bessel' method='se' n=2048: pencil size 4097 "):
+        compare_methods(bessel, range(1, 10**20))
+    assert solved == []
 
 
 def count_calls(monkeypatch, module, name):
@@ -320,7 +373,7 @@ def test_study_checks_every_level_index_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(study, "de_mesh_symmetric", shrinking)
     solved = count_calls(monkeypatch, study, "solve_generalized")
-    with pytest.raises(StudyError) as raised:
+    with pytest.raises(ValueError) as raised:
         convergence_study(builtin("singular"), "de", [4, 5, 9], eig_indices=(1, 6))
     assert str(raised.value) == ("problem='singular-adapted' method='de' n=9: "
                                  "eigenvalue index 6 exceeds matrix dimension 3")
@@ -340,13 +393,13 @@ def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, ba
     problem = (parse_problem_config(block("### Problem config files"))
                if name == "radial-well" else builtin(name))
     last = BESSEL_LAST[method, balanced] if name == "bessel" else 200
-    evaluations, checked = [], []
+    evaluations, checked, solved = [], [], []
 
     def counted_transformed(p, m):
         tp = transformed(p, m)
 
         def qtilde(t):
-            evaluations.append(t.size)
+            evaluations.append((t.size, len(solved)))
             return tp.qtilde(t)
         return TransformedProblem(qtilde=qtilde, weight=tp.weight)
 
@@ -360,6 +413,7 @@ def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, ba
 
     def no_solve(system, count, near):
         # The systems are what is compared; their spectra follow from them.
+        solved.append(system.size)
         return Spectrum(eigenvalues=np.arange(1.0, count + 1.0))
 
     monkeypatch.setattr(study, "transformed", counted_transformed)
@@ -367,8 +421,10 @@ def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, ba
     monkeypatch.setattr(study, "solve_generalized", no_solve)
     ns = [n for n in LEVELS if n <= last]
     records = convergence_study(problem, method, ns, eig_indices=(1, 2, 3), balanced=balanced)
-    # One evaluation, on the nodes of every level.
-    assert evaluations == [sum(checked)]
+    # Two evaluations: on the nodes of the first ceil(L/2) levels before
+    # any solve, and on those of the rest once the first half has solved.
+    half = (len(ns) + 1) // 2
+    assert evaluations == [(sum(checked[:half]), 0), (sum(checked[half:]), half)]
     assert len(checked) == len(ns) and len(records) == 3 * len(ns)
 
 
@@ -407,6 +463,44 @@ def test_failing_bulk_evaluation_serves_every_level_the_problem_itself():
     tp = TransformedProblem(qtilde=qtilde, weight=np.ones_like)
     meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=4, N=5)]
     assert [level is tp for level in study._level_problems(tp, meshes)] == [True, True]
+
+
+def test_failing_half_serves_only_its_own_levels_the_problem_itself():
+    # Only the last mesh reaches past t = 2, and it alone makes up the
+    # second half of the three levels.
+    def qtilde(t):
+        if np.abs(t).max() > 2.0:
+            raise ValueError("not past t = 2")
+        return np.zeros_like(t)
+
+    tp = TransformedProblem(qtilde=qtilde, weight=np.ones_like)
+    meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=4, N=4),
+              MeshConfig(h=0.5, M=5, N=5)]
+    assert [level is tp for level in study._level_problems(tp, meshes)] == [False, False, True]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 5, 6])
+def test_study_evaluates_each_half_of_its_levels_once(monkeypatch, levels):
+    events = []
+    real_transformed = study.transformed
+
+    def counted_transformed(p, m):
+        tp = real_transformed(p, m)
+        return TransformedProblem(
+            qtilde=lambda t: events.append(("qtilde", t.size)) or tp.qtilde(t),
+            weight=lambda t: events.append(("weight", t.size)) or tp.weight(t))
+
+    real_solve = study.solve_generalized
+    monkeypatch.setattr(study, "transformed", counted_transformed)
+    monkeypatch.setattr(study, "solve_generalized", lambda system, **kwargs: (
+        events.append(("solve", system.size)) or real_solve(system, **kwargs)))
+    records = convergence_study(builtin("laguerre", alpha=3.0), "de", range(2, 2 + levels))
+    sizes = [r.size for r in records]
+    half = (levels + 1) // 2
+    first = [("qtilde", sum(sizes[:half])), ("weight", sum(sizes[:half]))]
+    second = [("qtilde", sum(sizes[half:])), ("weight", sum(sizes[half:]))] if levels > 1 else []
+    assert events == (first + [("solve", size) for size in sizes[:half]]
+                      + second + [("solve", size) for size in sizes[half:]])
 
 
 @pytest.mark.parametrize("method,balanced,ns,message", [

@@ -1,0 +1,162 @@
+"""Compare the studies of two source trees, record by record.
+
+    python tools/compare_trees.py PARENT CHANGE [--n-max 200]
+
+PARENT and CHANGE are checkouts of this repository.  Each is run in its
+own child process, which imports ``slsolve`` from the tree's ``src`` and
+runs every series: the builtins and the README's ``radial-well`` config,
+each with the methods se, de and de-balanced, over n = 2..n_max, reading
+eigenvalue indices (1,) and then (1, 2, 3).  A level that fails is
+recorded with its error, and the series restarts after it.  Every record
+field is compared except ``runtime_ms``, and so are the ``emit_csv``
+bytes of each series with ``runtime_ms`` pinned to 0.
+
+The output is ``identical``, or the first differing outcome of each
+series that differs; the exit status is 0 or 1.  Both children get one
+BLAS thread unless the environment says otherwise, since the rounding of
+the larger solves can depend on the thread count.
+"""
+
+import argparse
+import dataclasses
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+METHODS = (("se", False), ("de", False), ("de-balanced", True))
+INDEX_SETS = ((1,), (1, 2, 3))
+BUILTINS = ("bessel", "laguerre", "singular")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def readme_config(tree):
+    """The config block under the README's "### Problem config files" heading."""
+    text = (Path(tree) / "README.md").read_text()
+    rest = text[text.index("\n### Problem config files\n"):]
+    start = rest.index("```\n") + len("```\n")
+    return rest[start:rest.index("```", start)]
+
+
+def _failing_level(exc):
+    """The level a study error names: a StudyError's ``n``, or the ``n=`` of a plan refusal."""
+    n = getattr(exc, "n", None)
+    if n is None:
+        match = re.search(r"\bn=(\d+): ", str(exc))
+        n = int(match.group(1)) if match else None
+    return n
+
+
+def _series(slsolve, problem, method, balanced, indices, lo, hi):
+    """The records and errors of levels lo..hi, restarting after each failing level."""
+    outcomes = []
+    while lo <= hi:
+        try:
+            outcomes += slsolve.convergence_study(problem, method, range(lo, hi + 1),
+                                                  indices, balanced=balanced)
+            break
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            n = _failing_level(exc)
+            if n is None or not lo <= n <= hi:
+                outcomes.append(error)
+                break
+            # The failure dropped the records of the levels before it.
+            outcomes += _series(slsolve, problem, method, balanced, indices, lo, n - 1)
+            outcomes.append(error)
+            lo = n + 1
+    return outcomes
+
+
+def run_tree(src, n_max, config):
+    """{series label: (outcomes, csv)} of the slsolve package under ``src``.
+
+    An outcome is a record's fields other than ``runtime_ms``, each as its
+    repr, or an error as "Type: message".
+    """
+    sys.path.insert(0, str(src))
+    import slsolve
+    if Path(slsolve.__file__).resolve().parent != (Path(src) / "slsolve").resolve():
+        raise RuntimeError(f"imported slsolve from {slsolve.__file__}, not from {src}")
+    problems = [slsolve.builtin(name) for name in BUILTINS]
+    problems.append(slsolve.parse_problem_config(config))
+    names = [f.name for f in dataclasses.fields(slsolve.StudyRecord) if f.name != "runtime_ms"]
+    result = {}
+    for problem in problems:
+        for label, balanced in METHODS:
+            method = label.split("-")[0]
+            for indices in INDEX_SETS:
+                outcomes = _series(slsolve, problem, method, balanced, indices, 2, n_max)
+                records = [dataclasses.replace(r, runtime_ms=0.0) for r in outcomes
+                           if not isinstance(r, str)]
+                handle = io.StringIO(newline="")
+                slsolve.emit_csv(records, handle)
+                key = f"{problem.name}/{label}/indices={','.join(map(str, indices))}"
+                result[key] = ([o if isinstance(o, str) else [repr(getattr(o, f)) for f in names]
+                                for o in outcomes], handle.getvalue())
+    return result
+
+
+def _child_run(tree, n_max, config):
+    env = dict(os.environ)
+    for name in THREAD_VARIABLES:
+        env.setdefault(name, "1")
+    spec = json.dumps({"src": str(Path(tree, "src").resolve()), "n_max": n_max,
+                       "config": config})
+    done = subprocess.run([sys.executable, __file__, "--child"], input=spec, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"the child for {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare_trees(parent, change, n_max=200):
+    """Lines naming the first difference of each differing series; empty when identical.
+
+    Both trees run the radial-well config of CHANGE's README.
+    """
+    config = readme_config(change)
+    before, after = _child_run(parent, n_max, config), _child_run(change, n_max, config)
+    lines = []
+    for key in sorted(set(before) | set(after)):
+        if key not in before or key not in after:
+            lines.append(f"{key}: only in {'change' if key in after else 'parent'}")
+            continue
+        (old, old_csv), (new, new_csv) = before[key], after[key]
+        for k, (a, b) in enumerate(zip(old, new)):
+            if a != b:
+                lines.append(f"{key}: outcome {k} differs:\n  parent {a}\n  change {b}")
+                break
+        else:
+            if len(old) != len(new):
+                lines.append(f"{key}: {len(old)} outcomes in parent, {len(new)} in change")
+            elif old_csv != new_csv:
+                pairs = zip(old_csv.splitlines(True), new_csv.splitlines(True))
+                row = next((k for k, (a, b) in enumerate(pairs) if a != b), None)
+                lines.append(f"{key}: emit_csv differs from line {row + 1}" if row is not None
+                             else f"{key}: emit_csv differs in length")
+    return lines
+
+
+def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv == ["--child"]:
+        spec = json.load(sys.stdin)
+        json.dump(run_tree(spec["src"], spec["n_max"], spec["config"]), sys.stdout)
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent tree")
+    parser.add_argument("change", help="checkout of the changed tree")
+    parser.add_argument("--n-max", type=int, default=200, help="last level of every series")
+    args = parser.parse_args(argv)
+    lines = compare_trees(args.parent, args.change, args.n_max)
+    print("\n".join(lines) if lines else "identical")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
