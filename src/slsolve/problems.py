@@ -59,8 +59,8 @@ class SturmLiouvilleProblem:
     profile is declared.
 
     ``q`` and ``rho`` are called with a numpy array of x, all points of a
-    mesh at once (of every level at once in a convergence study), and
-    must return an array of its shape or a constant.
+    mesh at once (in a convergence study, those of one half of its levels
+    at once), and must return an array of its shape or a constant.
     ``transformed`` samples rho on an array, so a scalar-only rho raises
     its own error there; a scalar-only q raises at the first assembly.
     Decay profiles are declared per problem rather than derived: they
@@ -118,8 +118,8 @@ def _bessel(n: int = 7) -> SturmLiouvilleProblem:
 
 
 def _laguerre(alpha: float = 3.0) -> SturmLiouvilleProblem:
-    if not alpha > 0.5:
-        raise ValueError(f"Laguerre parameter must exceed 1/2, got alpha={alpha!r}")
+    if not 0.5 < alpha < math.inf:
+        raise ValueError(f"Laguerre parameter must be finite and exceed 1/2, got alpha={alpha!r}")
     alpha = float(alpha)
     return SturmLiouvilleProblem(
         name="laguerre",

@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from slsolve import meshing, study
+from slsolve import cli, meshing, study
 from slsolve.cli import main
-from test_study import count_calls
 
 
 # q is undefined at the negative collocation points, which loading does not see.
@@ -136,11 +135,9 @@ def test_directory_as_problem_is_config_error(tmp_path, capsys):
     assert "configuration error: cannot read config file" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
-    def study(*args, **kwargs):
-        raise AssertionError("the study ran before the output was checked")
-
-    monkeypatch.setattr("slsolve.cli.convergence_study", study)
+def test_unwritable_output_is_config_error(tmp_path, capsys, spy):
+    # The output is checked before the study runs.
+    ran = spy(cli, "convergence_study")
     # A missing directory, and a directory as the destination.
     for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
         code = main(["--problem", "bessel", "--method", "de",
@@ -148,6 +145,7 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(out) in err
+    assert ran == []
 
 
 @pytest.mark.parametrize("config,method,code", [(DE_ONLY, "se", 2), (EXPLODING, "de", 3)],
@@ -207,10 +205,13 @@ def test_problem_refusals_are_config_errors(tmp_path, capsys, problem, flags, me
     assert capsys.readouterr().err == f"slsolve: configuration error: {message}\n"
 
 
-def test_bad_builtin_parameter_is_config_error(tmp_path):
-    code = main(["--problem", "laguerre", "--param", "alpha=0.2", "--method", "de",
-                 "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
-    assert code == 2
+def test_bad_builtin_parameter_is_config_error(tmp_path, capsys):
+    for alpha in ("0.2", "inf", "nan"):
+        code = main(["--problem", "laguerre", "--param", f"alpha={alpha}", "--method", "de",
+                     "--n-min", "2", "--n-max", "5", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == ("slsolve: configuration error: Laguerre parameter "
+                                           f"must be finite and exceed 1/2, got alpha={alpha}\n")
 
 
 def test_kappa_outside_singular_is_config_error(tmp_path):
@@ -287,15 +288,15 @@ def test_overflowing_mesh_index_is_config_error(tmp_path, capsys, monkeypatch, f
 
 @pytest.mark.parametrize("flags", [["--method", "de", "--balanced"], ["--compare"]],
                          ids=["de-balanced", "compare"])
-def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, monkeypatch, flags):
+def test_level_over_the_size_budget_is_config_error(tmp_path, capsys, spy, flags):
     # gamma_l = 1000 gives the balanced DE mesh N = 1000 n: sizes 2,003,
     # 3,004 and 4,005 fit the budget, 5,006 at n = 5 does not.
     config = tmp_path / "lopsided.slp"
     config.write_text("interval = realline\nmap = de\nq = x^2\nrho = 1\n"
                       f"d = {math.pi / 2000}\nbeta_l = 1\nbeta_r = 1\ngamma_l = 1000\n"
                       "gamma_r = 1\n")
-    evaluated = count_calls(monkeypatch, meshing, "_qtilde")
-    solved = count_calls(monkeypatch, study, "solve_generalized")
+    evaluated = spy(meshing, "_qtilde")
+    solved = spy(study, "solve_generalized")
     argv = ["--problem", str(config), "--n-min", "2", "--output", str(tmp_path / "x.csv")]
     assert main([*argv, *flags, "--n-max", "10"]) == 2
     # The refusal names the level, as a StudyError does.

@@ -1,5 +1,6 @@
 """``tools/compare_trees.py`` finds a tree identical to itself, and finds a change."""
 
+import ast
 import importlib.util
 import shutil
 from pathlib import Path
@@ -17,6 +18,18 @@ def load_tool():
     return module
 
 
+def mutated_copy(tmp_path, module, old, new):
+    """A tree at ``tmp_path`` whose ``slsolve.<module>`` has its one ``old`` replaced by ``new``."""
+    shutil.copytree(ROOT / "src" / "slsolve", tmp_path / "src" / "slsolve",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "README.md", tmp_path)
+    source = tmp_path / "src" / "slsolve" / f"{module}.py"
+    text = source.read_text()
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new))
+    return tmp_path
+
+
 def test_tree_against_itself_is_identical():
     assert load_tool().compare_trees(ROOT, ROOT, n_max=12) == []
 
@@ -29,12 +42,17 @@ def test_tree_against_itself_is_identical():
     ("r.problem, r.n, r.M", "r.problem, r.n + 1, r.M", "emit_csv differs from line 2"),
 ], ids=["records", "csv"])
 def test_a_changed_tree_differs_in_every_series(tmp_path, old, new, first):
-    shutil.copytree(ROOT / "src" / "slsolve", tmp_path / "src" / "slsolve",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(ROOT / "README.md", tmp_path)
-    study = tmp_path / "src" / "slsolve" / "study.py"
-    text = study.read_text()
-    assert text.count(old) == 1
-    study.write_text(text.replace(old, new))
-    lines = load_tool().compare_trees(ROOT, tmp_path, n_max=6)
+    lines = load_tool().compare_trees(ROOT, mutated_copy(tmp_path, "study", old, new), n_max=6)
     assert len(lines) == 24 and all(first in line for line in lines)
+
+
+def test_a_changed_assembly_is_named_by_its_series_and_level(tmp_path):
+    # Multiplying by the rounded -1/h^2 instead of dividing by -h^2 moves
+    # last bits of A, and only of A.
+    change = mutated_copy(tmp_path, "eigensolve", "A /= -(h * h)", "A *= -1.0 / (h * h)")
+    lines = load_tool().compare_trees(ROOT, change, n_max=6)
+    # Four problems by three methods, each at a level it names: [n, matrix, weights].
+    sides = [[ast.literal_eval(side.split(None, 1)[1]) for side in line.split("\n")[1:]]
+             for line in lines if "/assemble: outcome " in line]
+    assert len(sides) == 12
+    assert all(p[0] == c[0] and p[1] != c[1] and p[2] == c[2] for p, c in sides), sides

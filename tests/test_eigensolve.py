@@ -535,54 +535,41 @@ def test_warm_route_is_no_less_accurate_than_the_dense_route(monkeypatch, name, 
     assert dense <= 1e-11
 
 
-def _count_factorizations_and_dense_solves(monkeypatch):
-    calls = {"sytrf": 0, "dense": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(eigensolve, "_sytrf", counted("sytrf", eigensolve._sytrf))
+def _factorizations_and_dense_solves(spy):
+    """The calls to ``_sytrf``, and those to either dense route in one list."""
+    dense = []
     for route in ("_solve_congruence", "_solve_inverted"):
-        monkeypatch.setattr(eigensolve, route, counted("dense", getattr(eigensolve, route)))
-    return calls
+        spy(eigensolve, route, dense)
+    return spy(eigensolve, "_sytrf"), dense
 
 
-def test_study_serves_large_levels_warm_without_fallback(monkeypatch):
+def _sizes(calls):
+    return [call.args[0].shape[0] for call in calls]
+
+
+def test_study_serves_large_levels_warm_without_fallback(spy):
     # A work count, not a timing: every level of the Bessel balanced study,
     # which reads one eigenvalue, from the third on and of size >=
     # WARM_MIN_SIZE_ONE factors A - s D^2 once and makes no dense solve.
-    calls = _count_factorizations_and_dense_solves(monkeypatch)
+    sytrf, dense = _factorizations_and_dense_solves(spy)
     records = convergence_study(builtin("bessel", n=7), "de", range(2, 41), balanced=True)
     warm = sum(1 for r in records[2:] if r.size >= WARM_MIN_SIZE_ONE)
     assert warm >= 20
     assert sum(1 for r in records[2:] if WARM_MIN_SIZE_ONE <= r.size < WARM_MIN_SIZE) >= 10
-    assert calls == {"sytrf": warm, "dense": len(records) - warm}
+    assert (len(sytrf), len(dense)) == (warm, len(records) - warm)
 
 
-def test_study_reading_three_eigenvalues_keeps_small_levels_dense(monkeypatch):
+def test_study_reading_three_eigenvalues_keeps_small_levels_dense(monkeypatch, spy):
     # Each wanted eigenvalue costs its own factorization, so below
     # WARM_MIN_SIZE a three-eigenvalue level is solved dense, bitwise as
     # without the warm route, even where one eigenvalue would be served warm.
     problem, ns = builtin("laguerre", alpha=3.0), range(2, 61)
-    sizes = {"sytrf": [], "dense": []}
-
-    def by_size(key, fn):
-        def wrapper(A, *args, **kwargs):
-            sizes[key].append(A.shape[0])
-            return fn(A, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(eigensolve, "_sytrf", by_size("sytrf", eigensolve._sytrf))
-    for route in ("_solve_congruence", "_solve_inverted"):
-        monkeypatch.setattr(eigensolve, route, by_size("dense", getattr(eigensolve, route)))
+    sytrf, dense = _factorizations_and_dense_solves(spy)
     records = convergence_study(problem, "de", ns, (1, 2, 3), balanced=True)
     small = sorted({r.size for r in records if r.size < WARM_MIN_SIZE})
     assert sum(1 for size in small if size >= WARM_MIN_SIZE_ONE) >= 10
-    assert min(sizes["sytrf"]) >= WARM_MIN_SIZE
-    assert [size for size in sizes["dense"] if size < WARM_MIN_SIZE] == small
+    assert min(_sizes(sytrf)) >= WARM_MIN_SIZE
+    assert [size for size in _sizes(dense) if size < WARM_MIN_SIZE] == small
     _without_warm_route(monkeypatch)
     alone = convergence_study(problem, "de", ns, (1, 2, 3), balanced=True)
     assert [r.mu for r in records if r.size < WARM_MIN_SIZE] == \
@@ -609,30 +596,24 @@ def test_one_eigenvalue_study_levels_keep_the_generalized_solve_digits():
     assert checked == 8
 
 
-def test_warm_factorization_gets_a_blocked_workspace(monkeypatch):
+def test_warm_factorization_gets_a_blocked_workspace(spy):
     # scipy's default workspace, n, leaves LAPACK the unblocked ?sytf2,
     # two to four times slower at sizes 233-546 with one BLAS thread.
-    sytrf = eigensolve._sytrf
-    workspaces = []
-
-    def spy(a, **kwargs):
-        workspaces.append((a.shape[0], kwargs.get("lwork", a.shape[0])))
-        return sytrf(a, **kwargs)
-
-    monkeypatch.setattr(eigensolve, "_sytrf", spy)
+    sytrf = spy(eigensolve, "_sytrf")
     convergence_study(builtin("bessel", n=7), "de", range(30, 41), balanced=True)
+    workspaces = [(n, call.kwargs.get("lwork", n)) for n, call in zip(_sizes(sytrf), sytrf)]
     assert len(workspaces) >= 8
     assert all(lwork >= 2 * n for n, lwork in workspaces), workspaces
 
 
-def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, caplog):
+def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, spy, caplog):
     # A work count: Bessel SE with three eigenvalues still moves by 0.1-0.5
     # per level at sizes 65-119, so a shift sits far from its guess against
     # the gap to the nearest other guess and four solves cannot stagnate.
     # Those levels go dense with no factorization, and read as they would
     # without the warm route.
     problem, ns = builtin("bessel", n=7), range(2, 74)
-    calls = _count_factorizations_and_dense_solves(monkeypatch)
+    sytrf, dense_solves = _factorizations_and_dense_solves(spy)
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         records = convergence_study(problem, "se", ns, (1, 2, 3))
     unserved = [r.getMessage() for r in caplog.records if "warm start" in r.getMessage()]
@@ -641,15 +622,15 @@ def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, caplog):
     assert len(skipped) >= 20
     served = len(tried) - len(unserved)
     assert served >= 5
-    assert calls["dense"] == len(ns) - served
-    assert calls["sytrf"] <= 3 * (len(tried) - len(skipped))
+    assert len(dense_solves) == len(ns) - served
+    assert len(sytrf) <= 3 * (len(tried) - len(skipped))
     _without_warm_route(monkeypatch)
     dense = convergence_study(problem, "se", ns, (1, 2, 3))
     assert [r.mu for r in records if r.size in skipped] == \
         [r.mu for r in dense if r.size in skipped]
 
 
-def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(monkeypatch, caplog):
+def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(spy, caplog):
     # A zero-diagonal tridiagonal A: shifted into the interior of its
     # spectrum the diagonal is too small for 1x1 pivots, so Bunch-Kaufman
     # takes 2x2 ones.  Graded weights break the symmetry under which the
@@ -659,19 +640,12 @@ def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(monkeypatch
     w = np.linspace(1.0, 2.0, n)
     d = np.sqrt(w)
     dense = np.linalg.eigvalsh(A / np.outer(d, d))
-    sytrf = eigensolve._sytrf
-    pairs = []
-
-    def spy(*args, **kwargs):
-        ldu, ipiv, info = sytrf(*args, **kwargs)
-        pairs.append(np.count_nonzero(ipiv < 0) // 2)
-        return ldu, ipiv, info
-
-    monkeypatch.setattr(eigensolve, "_sytrf", spy)
+    sytrf = spy(eigensolve, "_sytrf")
     system = GeneralizedSystem(A, w, MeshConfig(h=1.0, M=0, N=n - 1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         mu = solve_generalized(system, count=n, near=(dense, np.zeros(n))).eigenvalues
     assert caplog.records == []
+    pairs = [np.count_nonzero(call.result[1] < 0) // 2 for call in sytrf]
     assert len(pairs) == n and max(pairs) >= 10
     np.testing.assert_allclose(mu, dense, rtol=0.0, atol=1e-13)
 
@@ -698,28 +672,26 @@ def test_graded_route_gives_up_without_a_positive_definite_shift():
         solve_generalized(system)
 
 
-def test_graded_route_reports_a_failed_sygvx(monkeypatch):
-    def failing(a, b, **kwargs):
-        # info = 1: one eigenvector failed to converge.
-        return np.zeros(2), np.zeros((2, 2)), 0, np.zeros(2, dtype=np.int32), 1
+def _failing_sygvx(info):
+    """A stand-in for ?sygvx that returns ``info`` from every call."""
+    return lambda a, b, **kwargs: (np.zeros(2), np.zeros((2, 2)), 0,
+                                   np.zeros(2, dtype=np.int32), info)
 
-    monkeypatch.setattr(eigensolve, "_sygvx", failing)
+
+def test_graded_route_reports_a_failed_sygvx(monkeypatch):
+    # info = 1: one eigenvector failed to converge.
+    monkeypatch.setattr(eigensolve, "_sygvx", _failing_sygvx(1))
     system = GeneralizedSystem(np.eye(2), np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match=r"^LAPACK sygvx failed \(info=1\)$"):
         solve_generalized(system)
 
 
 @pytest.mark.parametrize("info", [1, 2])
-def test_graded_route_reports_a_failed_sygvx_without_retrying(monkeypatch, info):
+def test_graded_route_reports_a_failed_sygvx_without_retrying(monkeypatch, spy, info):
     # 0 < info <= n: eigenvectors failed to converge, which no larger
     # shift mends; only info > n asks for one.
-    calls = []
-
-    def failing(a, b, **kwargs):
-        calls.append(kwargs)
-        return np.zeros(2), np.zeros((2, 2)), 0, np.zeros(2, dtype=np.int32), info
-
-    monkeypatch.setattr(eigensolve, "_sygvx", failing)
+    monkeypatch.setattr(eigensolve, "_sygvx", _failing_sygvx(info))
+    calls = spy(eigensolve, "_sygvx")
     system = GeneralizedSystem(np.eye(2), np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match=rf"^LAPACK sygvx failed \(info={info}\)$"):
         solve_generalized(system)

@@ -94,17 +94,16 @@ def test_builtin_de_error_decays_overall(name, params):
     assert min(errors) <= errors[0]
 
 
-def test_compare_methods_rejects_one_method_before_any_solve(monkeypatch):
-    def no_study(*args, **kwargs):
-        raise AssertionError("no series may run before the methods are counted")
-
-    monkeypatch.setattr(study, "convergence_study", no_study)
+def test_compare_methods_rejects_one_method_before_any_solve(spy):
+    # No series may run before the methods are counted.
+    ran = spy(study, "convergence_study")
     # Whole-line x^2 with one DE profile, equal tails: one series only.
     problem = parse_problem_config(
         "interval = realline\nmap = de\nq = x^2\nrho = 1\nd = 0.7853981633974483\n"
         "beta_l = 0.125\nbeta_r = 0.125\ngamma_l = 2\ngamma_r = 2\n")
     with pytest.raises(ValueError, match="declares only one method"):
         compare_methods(problem, range(2, 80))
+    assert ran == []
 
 
 def test_singular_comparison_series():
@@ -282,40 +281,34 @@ def test_study_rejects_bad_inputs():
         convergence_study(problem, "qz", [3])
 
 
-def test_balanced_se_study_is_refused_before_any_work(monkeypatch):
+def test_balanced_se_study_is_refused_before_any_work(spy):
     # Balanced truncation is a DE mesh; SE has only the symmetric one.
-    meshed = count_calls(monkeypatch, study, "se_mesh")
+    meshed = spy(study, "se_mesh")
     with pytest.raises(ValueError, match="balanced truncation applies only to the DE method"):
         convergence_study(builtin("laguerre", alpha=3.0), "se", [3, 4], balanced=True)
     assert meshed == []
 
 
-def test_study_checks_index_before_assembly(monkeypatch):
-    assembled = []
-
-    def no_assembly(tp, mesh):
-        assembled.append(mesh)
-        raise AssertionError("assemble must not run for an out-of-range index")
-
-    monkeypatch.setattr(study, "assemble", no_assembly)
+def test_study_checks_index_before_assembly(spy):
+    assembled = spy(study, "assemble")
     # The symmetric DE mesh at n=2 has size 5.
     with pytest.raises(ValueError, match="eigenvalue index 6 exceeds matrix dimension 5"):
         convergence_study(builtin("singular"), "de", [2], eig_indices=(1, 6))
     assert assembled == []
 
 
-def test_study_checks_index_before_reference(monkeypatch):
+def test_study_checks_index_before_reference(spy):
     # jn_zeros would take time and memory in the index, or overflow.
-    looked_up = count_calls(monkeypatch, study, "reference_eigenvalue")
+    looked_up = spy(study, "reference_eigenvalue")
     with pytest.raises(ValueError, match=f"eigenvalue index {10**20} exceeds matrix dimension 5"):
         convergence_study(builtin("bessel"), "de", [2], eig_indices=(10**20,))
     assert looked_up == []
 
 
-def test_range_past_the_size_budget_is_refused_at_once(monkeypatch):
+def test_range_past_the_size_budget_is_refused_at_once(spy):
     # Level n has M = N = n on the symmetric DE mesh, so n = 2048 is the
     # first over the budget 4096, however far the range runs past it.
-    solved = count_calls(monkeypatch, study, "solve_generalized")
+    solved = spy(study, "solve_generalized")
     bessel = builtin("bessel")
     with pytest.raises(ValueError) as raised:
         convergence_study(bessel, "de", range(1, 4097))
@@ -333,20 +326,7 @@ def test_range_past_the_size_budget_is_refused_at_once(monkeypatch):
     assert solved == []
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that appends each call's args to the returned list."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_study_meshes_every_level_before_any_solve(monkeypatch):
+def test_study_meshes_every_level_before_any_solve(spy):
     # (alpha N)^rho overflows from N = 35 on, so only the last level
     # cannot mesh; the error is se_mesh's own, after the level it names.
     problem = parse_problem_config(
@@ -354,8 +334,8 @@ def test_study_meshes_every_level_before_any_solve(monkeypatch):
         "alpha_se = 1\nrho_decay_se = 200\n")
     with pytest.raises(ValueError) as direct:
         study.se_mesh(problem.se_profile, 40)
-    assembled = count_calls(monkeypatch, study, "assemble")
-    solved = count_calls(monkeypatch, study, "solve_generalized")
+    assembled = spy(study, "assemble")
+    solved = spy(study, "solve_generalized")
     with pytest.raises(ValueError) as raised:
         convergence_study(problem, "se", [2, 3, 40])
     assert str(raised.value) == f"problem='custom' method='se' n=40: {direct.value}"
@@ -363,7 +343,7 @@ def test_study_meshes_every_level_before_any_solve(monkeypatch):
     assert assembled == [] and solved == []
 
 
-def test_study_checks_every_level_index_before_any_solve(monkeypatch):
+def test_study_checks_every_level_index_before_any_solve(monkeypatch, spy):
     real_mesh = study.de_mesh_symmetric
 
     def shrinking(profile, n):
@@ -372,7 +352,7 @@ def test_study_checks_every_level_index_before_any_solve(monkeypatch):
         return MeshConfig(h=mesh.h, M=1, N=1) if n == 9 else mesh
 
     monkeypatch.setattr(study, "de_mesh_symmetric", shrinking)
-    solved = count_calls(monkeypatch, study, "solve_generalized")
+    solved = spy(study, "solve_generalized")
     with pytest.raises(ValueError) as raised:
         convergence_study(builtin("singular"), "de", [4, 5, 9], eig_indices=(1, 6))
     assert str(raised.value) == ("problem='singular-adapted' method='de' n=9: "
@@ -514,10 +494,9 @@ def test_study_evaluates_each_half_of_its_levels_once(monkeypatch, levels):
      "problem='bessel' method='de' n=123: transformed weight must be positive, got 0.0 "
      "(index k=223, t=5.939364117870999)"),
 ], ids=["se", "de", "de-balanced"])
-def test_failing_level_raises_after_the_levels_before_it(monkeypatch, method, balanced, ns,
-                                                         message):
+def test_failing_level_raises_after_the_levels_before_it(spy, method, balanced, ns, message):
     # The evaluation on all nodes fails, so each level evaluates its own.
-    solved = count_calls(monkeypatch, study, "solve_generalized")
+    solved = spy(study, "solve_generalized")
     with pytest.raises(StudyError) as raised:
         convergence_study(builtin("bessel", n=7), method, ns, balanced=balanced)
     assert str(raised.value) == message
@@ -570,9 +549,9 @@ def test_studies_and_direct_solves_are_thread_safe():
     assert results == serial
 
 
-def test_study_refuses_non_integer_levels_and_indices(monkeypatch):
+def test_study_refuses_non_integer_levels_and_indices(spy):
     problem = builtin("bessel", n=7)
-    solved = count_calls(monkeypatch, study, "solve_generalized")
+    solved = spy(study, "solve_generalized")
     with pytest.raises(ValueError, match="^refinement levels must be integers, got 2.5$"):
         convergence_study(problem, "de", [2.5, 3.7], balanced=True)
     with pytest.raises(ValueError, match="^eigenvalue indices must be integers, got 2.0$"):

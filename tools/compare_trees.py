@@ -9,7 +9,11 @@ each with the methods se, de and de-balanced, over n = 2..n_max, reading
 eigenvalue indices (1,) and then (1, 2, 3).  A level that fails is
 recorded with its error, and the series restarts after it.  Every record
 field is compared except ``runtime_ms``, and so are the ``emit_csv``
-bytes of each series with ``runtime_ms`` pinned to 0.
+bytes of each series with ``runtime_ms`` pinned to 0.  Each problem and
+method also has an ``assemble`` series: for every level it builds the
+level's mesh, assembles the transformed problem on it, and compares the
+SHA-256 of the matrix and of the weight bytes, or the error.  Assembly
+makes no BLAS call, so these hashes do not depend on the thread count.
 
 The output is ``identical``, or the first differing outcome of each
 series that differs; the exit status is 0 or 1.  Both children get one
@@ -19,6 +23,7 @@ the larger solves can depend on the thread count.
 
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -71,11 +76,31 @@ def _series(slsolve, problem, method, balanced, indices, lo, hi):
     return outcomes
 
 
+def _assembled(slsolve, problem, method, balanced, n_max):
+    """Per level n = 2..n_max: [n, matrix hash, weights hash], or [n, "Type: message"]."""
+    if method == "se":
+        profile, mesh_for = problem.se_profile, slsolve.se_mesh
+    else:
+        profile = problem.de_profile
+        mesh_for = slsolve.de_mesh if balanced else slsolve.de_mesh_symmetric
+    outcomes = []
+    for n in range(2, n_max + 1):
+        try:
+            system = slsolve.assemble(slsolve.transformed(problem, method), mesh_for(profile, n))
+        except Exception as exc:
+            outcomes.append([n, f"{type(exc).__name__}: {exc}"])
+        else:
+            outcomes.append([n, *(hashlib.sha256(a.tobytes()).hexdigest()
+                                  for a in (system.matrix, system.weights))])
+    return outcomes
+
+
 def run_tree(src, n_max, config):
     """{series label: (outcomes, csv)} of the slsolve package under ``src``.
 
     An outcome is a record's fields other than ``runtime_ms``, each as its
-    repr, or an error as "Type: message".
+    repr, or an error as "Type: message".  An ``assemble`` series has no
+    csv, and one outcome per level.
     """
     sys.path.insert(0, str(src))
     import slsolve
@@ -88,6 +113,8 @@ def run_tree(src, n_max, config):
     for problem in problems:
         for label, balanced in METHODS:
             method = label.split("-")[0]
+            result[f"{problem.name}/{label}/assemble"] = (
+                _assembled(slsolve, problem, method, balanced, n_max), "")
             for indices in INDEX_SETS:
                 outcomes = _series(slsolve, problem, method, balanced, indices, 2, n_max)
                 records = [dataclasses.replace(r, runtime_ms=0.0) for r in outcomes
