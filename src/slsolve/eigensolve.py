@@ -23,10 +23,13 @@ Two routes are used, chosen by the weight grading max(w)/min(w):
   (D^2, A + s D^2), with a small shift s that makes A + s D^2 positive
   definite, gives theta = 1/(mu + s): the lowest generalized eigenvalues
   are the LARGEST theta and are recovered with absolute accuracy
-  ~eps*(mu+s).  A caller that reads only the lowest `count` eigenvalues
-  gets the index range of the `count` largest theta (bisection and
-  inverse iteration on the tridiagonal form) instead of the whole
-  spectrum.  Eigenvalues beyond 1/eps of the smallest are not resolvable
+  ~eps*(mu+s).  The shift starts at min_k A_kk / w_k and grows tenfold
+  until ?sygvx's Cholesky factor of A + s D^2 exists; past sixty decades
+  a Gershgorin bound caps it, and the decades below that bound are
+  bisected with ?potrf.  A caller that reads only the lowest `count`
+  eigenvalues gets the index range of the `count` largest theta
+  (bisection and inverse iteration on the tridiagonal form) instead of
+  the whole spectrum.  Eigenvalues beyond 1/eps of the smallest are not resolvable
   in this regime and are reported saturated; callers of this package
   only consume the low end of the spectrum.
 
@@ -68,6 +71,7 @@ pencil, and the warm one within 7e-15.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -172,7 +176,53 @@ def _solve_congruence(A, w, compute_vectors, count):
     return Spectrum(eigenvalues=mu[:count], eigenvectors=vectors[:, :count] / d[:, None])
 
 
-_sygvx, = scipy.linalg.get_lapack_funcs(("sygvx",), dtype=np.float64)
+_sygvx, _potrf = scipy.linalg.get_lapack_funcs(("sygvx", "potrf"), dtype=np.float64)
+
+
+def _shifted(A, w, s):
+    """A + s D^2, a new array."""
+    K = A.copy()
+    K.reshape(-1)[:: w.size + 1] += s * w
+    return K
+
+
+def _gershgorin_shift(A, w, tried):
+    """The smallest decade s = tried * 10^k, k >= 1, with A + (s/2) D^2 positive definite.
+
+    By Gershgorin's theorem on D^-1 A D^-1, each eigenvalue of the pencil
+    is at least g = min_k (A_kk / w_k - sum_{j != k} |A_kj| / sqrt(w_k w_j)),
+    so s_G = -2g puts every mu + s_G at or above s_G / 2.  The decades
+    below s_G are bisected for the same margin, by whether a Cholesky
+    factorization (?potrf) of A + (s/2) D^2 succeeds; s_G stands in for the
+    first decade above it.  Without the margin a decade that lands on -mu_1
+    passes by rounding, and the solve loses every digit of mu_1.  The result
+    is within a factor 20 of the smallest positive definite shift, as a
+    tenfold retry would be: s_G itself can lie so far above the low
+    eigenvalues that a solve shifted by it keeps no digits.
+    """
+    d = np.sqrt(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(A) / d[:, None] / d
+        scaled.reshape(-1)[:: w.size + 1] = 0.0
+        s_g = -2.0 * (A.diagonal() / w - scaled.sum(axis=1)).min()
+    if not np.isfinite(s_g):
+        raise SolverError("could not find a positive definite shift of (A, D^2)")
+    # Decades as powers of ten from log10(tried): tried * 10.0**k overflows
+    # in 10.0**k when tried is tiny and s_g large.
+    start = math.log10(tried)
+    top = max(math.ceil(math.log10(max(s_g, tried)) - start), 1)
+    lo, hi = 0, top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        # An overflowing s w_k is an infinite diagonal entry, which leaves
+        # the factorization positive definite.
+        with np.errstate(over="ignore"):
+            K = _shifted(A, w, 0.5 * 10.0 ** (start + mid))
+        if _potrf(K, overwrite_a=1, clean=0)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return 10.0 ** (start + hi) if hi < top else max(s_g, 10.0 * tried)
 
 
 def _solve_inverted(A, w, compute_vectors, count):
@@ -189,13 +239,15 @@ def _solve_inverted(A, w, compute_vectors, count):
     # range 1..n with the default abstol takes LAPACK's all-eigenvalue
     # path, bitwise the same as range="A".
     il = max(1, n - count + 1)
-    for _ in range(60):
-        K = A.copy()
-        K.reshape(-1)[:: n + 1] += s * w
+
+    def solve(s):
         # Both matrices are symmetric, so their transposes are the same
         # matrices in the Fortran order LAPACK works in, without a copy.
-        theta, V, m, _, info = _sygvx(np.diag(w).T, K.T, jobz="V" if compute_vectors else "N",
-                                      range="I", il=il, iu=n, overwrite_a=1, overwrite_b=1)
+        return _sygvx(np.diag(w).T, _shifted(A, w, s).T, jobz="V" if compute_vectors else "N",
+                      range="I", il=il, iu=n, overwrite_a=1, overwrite_b=1)
+
+    for _ in range(60):
+        theta, V, m, _, info = solve(s)
         if info <= n:
             break
         # info = n + i: the leading minor of order i of A + sD^2 is not
@@ -204,7 +256,12 @@ def _solve_inverted(A, w, compute_vectors, count):
                    "is not positive definite; retrying with s = %.6g", n, s, info - n, 10.0 * s)
         s *= 10.0
     else:
-        raise SolverError("could not find a positive definite shift of (A, D^2)")
+        # Sixty decades from a tiny trace fallback can stop far below the
+        # shift a strongly graded pencil needs.
+        s = _gershgorin_shift(A, w, s / 10.0)
+        _log.debug("size %d: sixty tenfold shifts failed; solving with s = %.6g from "
+                   "Gershgorin's bound", n, s)
+        theta, V, m, _, info = solve(s)
     if info != 0:
         raise SolverError(f"LAPACK sygvx failed (info={info})")
     theta = theta[:m]

@@ -1,7 +1,10 @@
 import csv
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slsolve import cli, meshing, study
 from slsolve.cli import main
@@ -348,3 +351,56 @@ def test_solver_failure_exit_code(tmp_path, capsys):
                  "--n-min", "3", "--n-max", "6", "--output", str(tmp_path / "x.csv")])
     assert code == 3
     assert "solver error" in capsys.readouterr().err
+
+
+# Potentials by interval, each with drawn constants c >= 0 and b of either
+# sign; with rho = exp(x^2) and b < 0 the weights are graded so steeply
+# that the graded solve needs a shift far past its tenfold search.
+Q_TEMPLATES = {
+    "unit": ("{c}/x^2", "{c}/(x*(1-x))", "{c}/x^2 + ({b})*x"),
+    "halfline": ("{c}/x^2 + ({b})*x^2", "{c}/x^2 + ({b})*x", "({b})*x^2"),
+    "realline": ("x^4 - {c}*x^2", "({b})*x^2", "x^2 + {c}*cos(x)"),
+}
+RHOS = ("1", "1/(x^2+cos(x))", "exp(-x)", "1+x^2", "exp(x^2)")
+MODES = (["--method", "se"], ["--method", "de"], ["--method", "de", "--balanced"],
+         ["--compare", "--rate-fit"])
+
+
+@st.composite
+def configs(draw):
+    """A whole config file: interval, q, rho, DE and SE decay constants, maybe kappa."""
+    interval = draw(st.sampled_from(sorted(Q_TEMPLATES)))
+    q = draw(st.sampled_from(Q_TEMPLATES[interval])).format(
+        c=draw(st.floats(0.0, 5.0)), b=draw(st.floats(-2.0, 2.0)))
+    gammas = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+    d = draw(st.floats(0.05, 1.0)) * math.pi / (2.0 * max(gammas))
+    lines = [f"interval = {interval}", "map = de", f"q = {q}", f"rho = {draw(st.sampled_from(RHOS))}",
+             f"d = {d!r}", f"beta_l = {draw(st.floats(0.05, 5.0))!r}",
+             f"beta_r = {draw(st.floats(0.05, 5.0))!r}", f"gamma_l = {gammas[0]!r}",
+             f"gamma_r = {gammas[1]!r}", f"alpha_se = {draw(st.floats(0.1, 3.0))!r}",
+             f"rho_decay_se = {draw(st.sampled_from([1, 2]))}"]
+    if interval == "realline" and draw(st.booleans()):
+        lines.append(f"kappa = {draw(st.floats(1e-3, 1e3))!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=configs(), mode=st.sampled_from(MODES), n_max=st.integers(2, 30),
+       eig_index=st.integers(1, 3))
+def test_any_config_runs_or_fails_with_one_message(tmp_path, config, mode, n_max, eig_index):
+    # Either every mu of the CSV is finite, or the run exits 2 or 3 with
+    # one line on stderr; no exception or warning escapes main.
+    (tmp_path / "p.slp").write_text(config)
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["--problem", str(tmp_path / "p.slp"), *mode, "--eig-index", str(eig_index),
+                     "--n-min", "2", "--n-max", str(n_max), "--output", str(out)])
+    if code == 0:
+        assert all(math.isfinite(float(r["mu"])) for r in read_rows(out)), config
+    else:
+        assert code in (2, 3), config
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("slsolve: "), (config, lines)

@@ -43,7 +43,23 @@ def test_tree_against_itself_is_identical():
 ], ids=["records", "csv"])
 def test_a_changed_tree_differs_in_every_series(tmp_path, old, new, first):
     lines = load_tool().compare_trees(ROOT, mutated_copy(tmp_path, "study", old, new), n_max=6)
-    assert len(lines) == 24 and all(first in line for line in lines)
+    study = [line for line in lines if not line.startswith("cli ")]
+    assert len(study) == 24 and all(first in line for line in study)
+    # Four problems by four modes by two indices: each command that writes
+    # records writes the changed ones; the five refusals write none.
+    assert len(lines) - len(study) == 32
+
+
+def test_a_changed_command_line_is_named_by_its_cli_series_only(tmp_path):
+    change = mutated_copy(tmp_path, "cli", "wrote {len(records)} records",
+                          "wrote {len(records)} rows")
+    lines = load_tool().compare_trees(ROOT, change, n_max=6)
+    assert len(lines) == 32
+    for line in lines:
+        name, before, after = line.split("\n")
+        assert name.startswith("cli --problem ") and "differs" in name
+        assert before.startswith("  parent stdout: wrote ") and before.endswith(" records to out.csv")
+        assert after == before.replace("parent", "change").replace("records", "rows")
 
 
 def test_a_changed_assembly_is_named_by_its_series_and_level(tmp_path):

@@ -663,10 +663,35 @@ def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vect
         solve_generalized(system, compute_vectors=compute_vectors)
 
 
+@pytest.mark.parametrize("A,w,mu,shift", [
+    # det(A - mu D^2) = 1e-10 mu^2 - 1, up to the diagonal's 1e-290: mu =
+    # -+1e5.  The search starts at the trace fallback tiny, or at
+    # min A_kk / w_k = 1e-300, and ends near 1e-248 or 1e-241; Gershgorin's
+    # bound 2e5 is below the next decade, so the solve takes it.
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1e-10], [-1e5, 1e5], "200000"),
+    ([[1e-300, 1.0], [1.0, 1e-300]], [1.0, 1e-10], [-1e5, 1e5], "200000"),
+    # The search starts at |tr A| / sum(w) * 1e-6 + tiny = 1.02225e-306.
+    # Gershgorin's bound reads 2e50 from the row of weight 1, whose
+    # coupling to the weight 1e-100 is 1e50 after scaling, but
+    # mu_1 = -1 - 1e100 / 1e100 = -2 wants only s > 4 for the margin, so
+    # the solve takes the decade 10.2225.
+    ([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]], [1e300, 1.0, 1e-100], [-2.0],
+     "10.2225"),
+], ids=["zero-diagonal", "tiny-diagonal", "far-bound"])
+def test_graded_route_finds_a_shift_beyond_the_tenfold_search(caplog, A, w, mu, shift):
+    system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=len(w) - 2, N=1))
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        spectrum = solve_generalized(system, count=len(mu))
+    np.testing.assert_allclose(spectrum.eigenvalues, mu, rtol=1e-10, atol=0.0)
+    assert caplog.records[-1].getMessage() == (
+        f"size {len(w)}: sixty tenfold shifts failed; solving with s = {shift} from "
+        "Gershgorin's bound")
+
+
 def test_graded_route_gives_up_without_a_positive_definite_shift():
-    # s starts at min A_kk / w_k = 1e-300; sixty tenfold retries reach
-    # only 1e-240, and A + s D^2 stays indefinite.
-    A = np.array([[1e-300, 1.0], [1.0, 1e-300]])
+    # An infinite coupling makes Gershgorin's bound infinite: no shift
+    # makes A + s D^2 positive definite.
+    A = np.array([[0.0, np.inf], [np.inf, 0.0]])
     system = GeneralizedSystem(A, np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match="^could not find a positive definite shift"):
         solve_generalized(system)

@@ -1,29 +1,10 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from slsolve import EvaluationError, map_catalog, transform_problem
-
-ALL_MAPS = [
-    ("unit", "SE", 1.0),
-    ("unit", "DE", 1.0),
-    ("half_line", "SE", 1.0),
-    ("half_line", "DE", 1.0),
-    ("real_line", "SE", 1.0),
-    ("real_line", "DE", 1.0),
-    ("real_line", "DE", math.sqrt(0.2)),
-]
-
-
-def derivative(m, order):
-    # t -> the order-th derivative of the map, on a float array of t
-    return lambda t: m(np.asarray(t, dtype=float))[order]
-
-
-def central(f, t, e):
-    return (f(t + e) - f(t - e)) / (2.0 * e)
+from test_meshing import ALL_MAPS, central, derivative
 
 
 def curvature_fd(m, t, e=1e-4):
@@ -36,72 +17,6 @@ def curvature_fd(m, t, e=1e-4):
 
 def coefficients(m, q=lambda x: 0.0, rho=lambda x: 1.0):
     return transform_problem(m, q, rho)
-
-
-def test_catalog_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        map_catalog("circle", "DE")
-    with pytest.raises(ValueError):
-        map_catalog("unit", "XX")
-    with pytest.raises(ValueError):
-        map_catalog("unit", "DE", kappa=0.5)
-    with pytest.raises(ValueError):
-        map_catalog("real_line", "DE", kappa=-1.0)
-
-
-def test_identity_map_values():
-    m = map_catalog("real_line", "SE")
-    phi, dphi, d2phi, _ = m(np.array([2.0]))
-    assert phi[0] == 2.0
-    assert dphi[0] == 1.0
-    assert d2phi[0] == 0.0
-
-
-def test_unit_de_midpoint():
-    m = map_catalog("unit", "DE")
-    assert m(np.array([0.0]))[0][0] == pytest.approx(0.5, abs=1e-16)
-
-
-def test_scaled_sinh_value():
-    kappa = math.sqrt(0.2)
-    m = map_catalog("real_line", "DE", kappa=kappa)
-    phi = m(np.array([1.0]))[0][0]
-    assert phi == pytest.approx(kappa * math.sinh(1.0), rel=1e-15)
-    assert phi == pytest.approx(0.5255659512452867, abs=1e-15)
-
-
-@pytest.mark.parametrize("interval,decay,kappa", ALL_MAPS)
-def test_derivatives_match_finite_differences(interval, decay, kappa):
-    m = map_catalog(interval, decay, kappa=kappa)
-    e = 1e-5
-    t = np.linspace(-3.0, 3.0, 25)
-    for order in (1, 2, 3):
-        exact = derivative(m, order)(t)
-        fd = central(derivative(m, order - 1), t, e)
-        assert exact == pytest.approx(fd, rel=1e-7, abs=1e-7)
-
-
-_MP_SE_MAPS = {
-    "unit": lambda y: mpmath.tanh(y) / 2 + mpmath.mpf(0.5),
-    "half_line": lambda y: mpmath.asinh(mpmath.exp(y)),
-    "real_line": lambda y: y,
-}
-
-
-@pytest.mark.parametrize("interval,decay,kappa", ALL_MAPS)
-def test_jet_matches_mpmath_derivatives(interval, decay, kappa):
-    m = map_catalog(interval, decay, kappa=kappa)
-    t = np.linspace(-6.0, 6.0, 97)
-    with np.errstate(all="ignore"):
-        jet = np.array(np.broadcast_arrays(*m(t)))
-    outer = _MP_SE_MAPS[interval]
-    phi = outer if decay == "SE" else (lambda u: outer(mpmath.mpf(kappa) * mpmath.sinh(u)))
-    with mpmath.workdps(40):
-        ref = np.array([[float(d) for d in mpmath.diffs(phi, mpmath.mpf(float(ti)), 3)]
-                        for ti in t]).T
-    for k in range(4):
-        tol = 1e-13 * np.abs(ref[k]) + 1e-15 * np.abs(ref[k]).max()
-        assert np.all(np.abs(jet[k] - ref[k]) <= tol), k
 
 
 @pytest.mark.parametrize("interval,decay,kappa", ALL_MAPS)
@@ -121,16 +36,6 @@ def test_maps_are_monotone_onto(interval, decay, kappa):
         assert 0.0 <= lo < 1e-8 and hi > 10.0
     else:
         assert lo < -10.0 < 10.0 < hi
-
-
-def test_half_line_de_asymptote_region_is_smooth():
-    # crossing sinh(t) = 30 must not kink phi or its derivatives
-    m = map_catalog("half_line", "DE")
-    t_star = math.asinh(30.0)
-    (below, above, mid), (dbelow, dabove, dmid) = m(
-        np.array([t_star - 1e-7, t_star + 1e-7, t_star]))[:2]
-    assert above - below == pytest.approx(2e-7 * dmid, rel=1e-3)
-    assert dabove == pytest.approx(dbelow, rel=1e-6)
 
 
 def test_qtilde_identity_map_reduces_to_q():

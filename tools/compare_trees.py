@@ -14,6 +14,15 @@ method also has an ``assemble`` series: for every level it builds the
 level's mesh, assembles the transformed problem on it, and compares the
 SHA-256 of the matrix and of the weight bytes, or the error.  Assembly
 makes no BLAS call, so these hashes do not depend on the thread count.
+Last come the ``cli`` series: ``slsolve.cli.main`` runs in the child on
+bessel, laguerre, singular and the radial-well config file, each with
+``--method se``, ``--method de``, ``--method de --balanced`` and
+``--compare --rate-fit``, at ``--eig-index`` 1 and 2 over
+n = 2..min(n_max, 60), and on five inputs it must refuse.  Each compares
+the exit code, the stdout and stderr lines and the CSV bytes.  The runs
+share a temporary working directory, named by relative paths only, and
+``time.perf_counter`` is pinned, so neither the tree nor the run time
+shows in what they print or write.
 
 The output is ``identical``, or the first differing outcome of each
 series that differs; the exit status is 0 or 1.  Both children get one
@@ -30,12 +39,32 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 METHODS = (("se", False), ("de", False), ("de-balanced", True))
 INDEX_SETS = ((1,), (1, 2, 3))
 BUILTINS = ("bessel", "laguerre", "singular")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CLI_CONFIG = "radial-well.cfg"
+CLI_PROBLEMS = ("bessel", "laguerre", "singular", CLI_CONFIG)
+CLI_MODES = (("--method", "se"), ("--method", "de"), ("--method", "de", "--balanced"),
+             ("--compare", "--rate-fit"))
+CLI_N_MAX = 60
+# Inputs the command refuses: a range past the size budget, an index past
+# every pencil, a malformed parameter, a missing config file and an
+# unwritable output.
+CLI_REFUSALS = (
+    ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "5000"),
+    ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "3",
+     "--eig-index", "4000000"),
+    ("--problem", "bessel", "--param", "n", "--method", "de", "--n-min", "2", "--n-max", "3"),
+    ("--problem", "missing.cfg", "--method", "de", "--n-min", "2", "--n-max", "3"),
+    ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "3",
+     "--output", "missing/out.csv"),
+)
 
 
 def readme_config(tree):
@@ -95,12 +124,51 @@ def _assembled(slsolve, problem, method, balanced, n_max):
     return outcomes
 
 
+def _cli_runs(n_max):
+    """The argument lists of the ``cli`` series, each with an ``--output``."""
+    last = str(min(n_max, CLI_N_MAX))
+    runs = [("--problem", problem, *mode, "--eig-index", index, "--n-min", "2", "--n-max", last)
+            for problem in CLI_PROBLEMS for mode in CLI_MODES for index in ("1", "2")]
+    runs += CLI_REFUSALS
+    return [run if "--output" in run else (*run, "--output", "out.csv") for run in runs]
+
+
+def _cli(n_max, config):
+    """{"cli ARGS": (outcomes, csv)}: exit code, stdout and stderr lines, and the CSV written."""
+    from slsolve import cli
+    result = {}
+    here, perf_counter = os.getcwd(), time.perf_counter
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        time.perf_counter = lambda: 0.0
+        try:
+            Path(CLI_CONFIG).write_text(config)
+            for argv in _cli_runs(n_max):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    try:
+                        outcomes = [f"exit {cli.main(list(argv))}"]
+                    except (Exception, SystemExit) as exc:
+                        outcomes = [f"raised {type(exc).__name__}: {exc}"]
+                outcomes += [f"stdout: {line}" for line in out.getvalue().splitlines()]
+                outcomes += [f"stderr: {line}" for line in err.getvalue().splitlines()]
+                csv = Path("out.csv")
+                result["cli " + " ".join(argv)] = (
+                    outcomes, csv.read_bytes().decode() if csv.exists() else "")
+                csv.unlink(missing_ok=True)
+        finally:
+            time.perf_counter = perf_counter
+            os.chdir(here)
+    return result
+
+
 def run_tree(src, n_max, config):
     """{series label: (outcomes, csv)} of the slsolve package under ``src``.
 
     An outcome is a record's fields other than ``runtime_ms``, each as its
     repr, or an error as "Type: message".  An ``assemble`` series has no
-    csv, and one outcome per level.
+    csv, and one outcome per level; a ``cli`` series has one per exit code
+    and printed line.
     """
     sys.path.insert(0, str(src))
     import slsolve
@@ -124,6 +192,7 @@ def run_tree(src, n_max, config):
                 key = f"{problem.name}/{label}/indices={','.join(map(str, indices))}"
                 result[key] = ([o if isinstance(o, str) else [repr(getattr(o, f)) for f in names]
                                 for o in outcomes], handle.getvalue())
+    result.update(_cli(n_max, config))
     return result
 
 
