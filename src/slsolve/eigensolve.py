@@ -23,10 +23,12 @@ Two routes are used, chosen by the weight grading max(w)/min(w):
   (D^2, A + s D^2), with a small shift s that makes A + s D^2 positive
   definite, gives theta = 1/(mu + s): the lowest generalized eigenvalues
   are the LARGEST theta and are recovered with absolute accuracy
-  ~eps*(mu+s).  The shift starts at min_k A_kk / w_k and grows tenfold
-  until ?sygvx's Cholesky factor of A + s D^2 exists; past sixty decades
-  a Gershgorin bound caps it, and the decades below that bound are
-  bisected with ?potrf.  A caller that reads only the lowest `count`
+  ~eps*(mu+s).  The shift is min_k A_kk / w_k, an upper bound for the
+  lowest mu.  Where ?sygvx finds no Cholesky factor of A + s D^2, or
+  that bound is no positive number, one search bisects with ?potrf the
+  decades above it, or above the smallest normal double, up to a
+  Gershgorin bound, and ?sygvx solves once more at the smallest decade
+  that leaves a margin.  A caller that reads only the lowest `count`
   eigenvalues gets the index range of the `count` largest theta
   (bisection and inverse iteration on the tridiagonal form) instead of
   the whole spectrum.  Eigenvalues beyond 1/eps of the smallest are not resolvable
@@ -189,16 +191,19 @@ def _shifted(A, w, s):
 def _gershgorin_shift(A, w, tried):
     """The smallest decade s = tried * 10^k, k >= 1, with A + (s/2) D^2 positive definite.
 
-    By Gershgorin's theorem on D^-1 A D^-1, each eigenvalue of the pencil
+    ``tried`` is a shift that failed, or the smallest normal double.  By
+    Gershgorin's theorem on D^-1 A D^-1, each eigenvalue of the pencil
     is at least g = min_k (A_kk / w_k - sum_{j != k} |A_kj| / sqrt(w_k w_j)),
     so s_G = -2g puts every mu + s_G at or above s_G / 2.  The decades
     below s_G are bisected for the same margin, by whether a Cholesky
-    factorization (?potrf) of A + (s/2) D^2 succeeds; s_G stands in for the
-    first decade above it.  Without the margin a decade that lands on -mu_1
-    passes by rounding, and the solve loses every digit of mu_1.  The result
-    is within a factor 20 of the smallest positive definite shift, as a
-    tenfold retry would be: s_G itself can lie so far above the low
-    eigenvalues that a solve shifted by it keeps no digits.
+    factorization (?potrf) of A + (s/2) D^2 succeeds, at about log2 of
+    their number of factorizations; s_G stands in for the first decade
+    above it.  Without the margin a decade that lands on -mu_1 passes by
+    rounding, and the solve loses every digit of mu_1.  The result is
+    within a factor 20 of the smallest positive definite shift: s_G itself
+    can lie so far above the low eigenvalues that a solve shifted by it
+    keeps no digits.  An s_G that is not finite, as where a diagonal
+    A_kk / w_k overflows to -inf, leaves no shift.
     """
     d = np.sqrt(w)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,7 +211,9 @@ def _gershgorin_shift(A, w, tried):
         scaled.reshape(-1)[:: w.size + 1] = 0.0
         s_g = -2.0 * (A.diagonal() / w - scaled.sum(axis=1)).min()
     if not np.isfinite(s_g):
-        raise SolverError("could not find a positive definite shift of (A, D^2)")
+        raise SolverError("could not find a positive definite shift of (A, D^2): its lowest "
+                          "eigenvalue lies below about -1.8e308, as when q falls to -inf "
+                          "where rho decays")
     # Decades as powers of ten from log10(tried): tried * 10.0**k overflows
     # in 10.0**k when tried is tiny and s_g large.
     start = math.log10(tried)
@@ -232,8 +239,6 @@ def _solve_inverted(A, w, compute_vectors, count):
     # under (A, D^2) -> (cA, cD^2).
     with np.errstate(over="ignore"):
         s = (A.diagonal() / w).min()
-    if not (s > 0.0 and np.isfinite(s)):
-        s = abs(np.trace(A)) / w.sum() * 1e-6 + np.finfo(float).tiny
     # theta = 1/(mu + s), ascending: the low mu are the largest theta, so
     # the lowest `count` of them are the index range n-count+1..n.  The
     # range 1..n with the default abstol takes LAPACK's all-eigenvalue
@@ -246,21 +251,16 @@ def _solve_inverted(A, w, compute_vectors, count):
         return _sygvx(np.diag(w).T, _shifted(A, w, s).T, jobz="V" if compute_vectors else "N",
                       range="I", il=il, iu=n, overwrite_a=1, overwrite_b=1)
 
-    for _ in range(60):
+    usable = s > 0.0 and np.isfinite(s)
+    if usable:
         theta, V, m, _, info = solve(s)
-        if info <= n:
-            break
+    if not usable or info > n:
         # info = n + i: the leading minor of order i of A + sD^2 is not
         # positive definite.
-        _log.debug("size %d: A + s D^2 with s = %.6g has a leading minor of order %d that "
-                   "is not positive definite; retrying with s = %.6g", n, s, info - n, 10.0 * s)
-        s *= 10.0
-    else:
-        # Sixty decades from a tiny trace fallback can stop far below the
-        # shift a strongly graded pencil needs.
-        s = _gershgorin_shift(A, w, s / 10.0)
-        _log.debug("size %d: sixty tenfold shifts failed; solving with s = %.6g from "
-                   "Gershgorin's bound", n, s)
+        failed = (f"A + s D^2 with s = {s:.6g} has a leading minor of order {info - n} that is "
+                  "not positive definite" if usable else f"min A_kk / w_k = {s:.6g} is no shift")
+        s = _gershgorin_shift(A, w, s if usable else np.finfo(float).tiny)
+        _log.debug("size %d: %s; solving with s = %.6g", n, failed, s)
         theta, V, m, _, info = solve(s)
     if info != 0:
         raise SolverError(f"LAPACK sygvx failed (info={info})")
@@ -319,9 +319,7 @@ def _solve_warm(A, w, guess, moved):
     mu = np.empty(len(guess))
     lower = -np.inf
     for i, shift in enumerate(shifts, start=1):
-        K = A.copy()
-        K.reshape(-1)[:: n + 1] -= shift * w
-        ldu, ipiv, info = _sytrf(K.T, lwork=lwork, overwrite_a=1)
+        ldu, ipiv, info = _sytrf(_shifted(A, w, -shift).T, lwork=lwork, overwrite_a=1)
         if ipiv.min() > 0:  # 1x1 pivots only
             below = np.count_nonzero(ldu.diagonal() < 0.0)
         else:

@@ -355,7 +355,7 @@ def test_solver_failure_exit_code(tmp_path, capsys):
 
 # Potentials by interval, each with drawn constants c >= 0 and b of either
 # sign; with rho = exp(x^2) and b < 0 the weights are graded so steeply
-# that the graded solve needs a shift far past its tenfold search.
+# that the graded solve needs a shift many decades above min A_kk / w_k.
 Q_TEMPLATES = {
     "unit": ("{c}/x^2", "{c}/(x*(1-x))", "{c}/x^2 + ({b})*x"),
     "halfline": ("{c}/x^2 + ({b})*x^2", "{c}/x^2 + ({b})*x", "({b})*x^2"),

@@ -435,7 +435,8 @@ def test_wrong_near_falls_back_to_the_dense_result_bit_for_bit(caplog, cause, gu
 
 
 def test_shift_retry_is_logged(caplog):
-    # s = min A_kk / w_k = 1 leaves A + s D^2 indefinite; s = 10 does not.
+    # s = min A_kk / w_k = 1 leaves A + s D^2 indefinite; s = 10 does not,
+    # and neither does A + (s/2) D^2.
     system = GeneralizedSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1e-10]),
                                MeshConfig(h=1.0, M=0, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
@@ -444,23 +445,39 @@ def test_shift_retry_is_logged(caplog):
     assert mu[0] == pytest.approx(-3e10 / (1e10 + 4), rel=1e-12)
     assert [r.getMessage() for r in caplog.records] == [
         "size 2: A + s D^2 with s = 1 has a leading minor of order 2 that is not "
-        "positive definite; retrying with s = 10"]
+        "positive definite; solving with s = 10"]
+
+
+def test_graded_retry_costs_one_more_sygvx_and_a_bisection(spy):
+    # mu_1 is about -399, so the decades s = 10 and 100 above the first
+    # shift min A_kk / w_k = 1 are indefinite as well; 1000 is the first
+    # whose half is a definite shift.  The decades up to Gershgorin's bound,
+    # about 4e6, are bisected by Cholesky factorizations, not solved.
+    A = np.array([[1.0, 20.0], [20.0, 1.0]])
+    w = np.array([1.0, 1e-10])
+    sygvx, potrf = spy(eigensolve, "_sygvx"), spy(eigensolve, "_potrf")
+    mu = solve_generalized(GeneralizedSystem(A, w, MeshConfig(h=1.0, M=0, N=1)), count=1)
+    # det(A - mu D^2) = 1e-10 mu^2 - (1 + 1e-10) mu - 399: mu_1 = -399e10 / mu_2.
+    mu_2 = (1.0 + 1e-10 + math.sqrt((1.0 + 1e-10) ** 2 + 4e-10 * 399.0)) / 2e-10
+    assert mu.eigenvalues[0] == pytest.approx(-399e10 / mu_2, rel=1e-12)
+    decades = math.ceil(math.log10(2.0 * (20.0 / math.sqrt(1e-10) - 1.0)))
+    assert len(sygvx) == 2
+    assert len(potrf) <= math.ceil(math.log2(decades)) + 1
 
 
 def test_graded_route_falls_back_to_a_trace_shift(caplog):
-    # min A_kk / w_k = -1 is no shift, so the route starts from
-    # |tr A| / sum(w) * 1e-6 = 2e-6 and multiplies it by 10 until A + s D^2
-    # is positive definite.
+    # min A_kk / w_k = -1 is no shift, so the route searches the decades
+    # above the smallest normal double, 2.2250738585072014e-308, for the
+    # first whose half makes A + (s/2) D^2 positive definite: mu_1 is about
+    # -1.005, so s = 2.22507 is that decade.
     A = np.array([[-1.0, 0.1, 0.0], [0.1, 2.0, 0.1], [0.0, 0.1, 3.0]])
     system = GeneralizedSystem(A, np.array([1.0, 1e-9, 1.0]), MeshConfig(h=1.0, M=1, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         mu = solve_generalized(system, count=2).eigenvalues
     # The two lowest eigenvalues of D^-1 A D^-1 in 50-digit mpmath.
     np.testing.assert_allclose(mu, [-1.0050062499877157, 2.9950062499827657], rtol=1e-14, atol=0.0)
-    shifts = ["2e-06", "2e-05", "0.0002", "0.002", "0.02", "0.2", "2"]
     assert [r.getMessage() for r in caplog.records] == [
-        f"size 3: A + s D^2 with s = {s} has a leading minor of order 1 that is not "
-        f"positive definite; retrying with s = {t}" for s, t in zip(shifts, shifts[1:])]
+        "size 3: min A_kk / w_k = -1 is no shift; solving with s = 2.22507"]
 
 
 def test_near_is_ignored_for_vectors_and_small_pencils():
@@ -663,29 +680,30 @@ def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vect
         solve_generalized(system, compute_vectors=compute_vectors)
 
 
-@pytest.mark.parametrize("A,w,mu,shift", [
+@pytest.mark.parametrize("A,w,mu,failed,shift", [
     # det(A - mu D^2) = 1e-10 mu^2 - 1, up to the diagonal's 1e-290: mu =
-    # -+1e5.  The search starts at the trace fallback tiny, or at
-    # min A_kk / w_k = 1e-300, and ends near 1e-248 or 1e-241; Gershgorin's
-    # bound 2e5 is below the next decade, so the solve takes it.
-    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1e-10], [-1e5, 1e5], "200000"),
-    ([[1e-300, 1.0], [1.0, 1e-300]], [1.0, 1e-10], [-1e5, 1e5], "200000"),
-    # The search starts at |tr A| / sum(w) * 1e-6 + tiny = 1.02225e-306.
+    # -+1e5.  The search starts at the smallest normal double, or at
+    # min A_kk / w_k = 1e-300; Gershgorin's bound 2e5 is below the first
+    # decade whose half is a definite shift, so the solve takes it.
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1e-10], [-1e5, 1e5], "min A_kk / w_k = 0 is no shift",
+     "200000"),
+    ([[1e-300, 1.0], [1.0, 1e-300]], [1.0, 1e-10], [-1e5, 1e5],
+     "A + s D^2 with s = 1e-300 has a leading minor of order 2 that is not positive definite",
+     "200000"),
     # Gershgorin's bound reads 2e50 from the row of weight 1, whose
     # coupling to the weight 1e-100 is 1e50 after scaling, but
     # mu_1 = -1 - 1e100 / 1e100 = -2 wants only s > 4 for the margin, so
-    # the solve takes the decade 10.2225.
+    # the solve takes the decade 22.2507 above the smallest normal double.
     ([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]], [1e300, 1.0, 1e-100], [-2.0],
-     "10.2225"),
+     "min A_kk / w_k = -1 is no shift", "22.2507"),
 ], ids=["zero-diagonal", "tiny-diagonal", "far-bound"])
-def test_graded_route_finds_a_shift_beyond_the_tenfold_search(caplog, A, w, mu, shift):
+def test_graded_route_finds_a_shift_beyond_the_tenfold_search(caplog, A, w, mu, failed, shift):
     system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=len(w) - 2, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         spectrum = solve_generalized(system, count=len(mu))
     np.testing.assert_allclose(spectrum.eigenvalues, mu, rtol=1e-10, atol=0.0)
-    assert caplog.records[-1].getMessage() == (
-        f"size {len(w)}: sixty tenfold shifts failed; solving with s = {shift} from "
-        "Gershgorin's bound")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"size {len(w)}: {failed}; solving with s = {shift}"]
 
 
 def test_graded_route_gives_up_without_a_positive_definite_shift():
@@ -693,7 +711,10 @@ def test_graded_route_gives_up_without_a_positive_definite_shift():
     # makes A + s D^2 positive definite.
     A = np.array([[0.0, np.inf], [np.inf, 0.0]])
     system = GeneralizedSystem(A, np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
-    with pytest.raises(SolverError, match="^could not find a positive definite shift"):
+    with pytest.raises(SolverError, match=r"^could not find a positive definite shift of "
+                                          r"\(A, D\^2\): its lowest eigenvalue lies below "
+                                          r"about -1\.8e308, as when q falls to -inf where "
+                                          r"rho decays$"):
         solve_generalized(system)
 
 

@@ -116,12 +116,9 @@ def test_modules_import_in_the_stated_direction():
 
 def test_each_test_module_is_named_after_a_source_module():
     # "each `tests/test_<name>.py` tests `slsolve.<name>`, and each module
-    # has its file", but for the cross-cutting files the README names and
-    # the file it names as still waiting to move.
+    # has its file", but for the cross-cutting files the README names.
     text = " ".join(README.split())
     exempt = set(re.findall(r"`(test_\w+)`", text.split("files are exempt: ", 1)[1].split(".")[0]))
-    waiting = text.split("still waits to move into `test_meshing`: ", 1)[1].split(".")[0]
-    exempt |= set(re.findall(r"`(test_\w+)`", waiting))
     tests = {path.stem for path in Path(__file__).parent.glob("test_*.py")}
     modules = {path.stem for path in Path(slsolve.__file__).parent.glob("*.py")} - {"__init__"}
     assert exempt <= tests
