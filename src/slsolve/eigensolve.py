@@ -26,7 +26,7 @@ Two routes are used, chosen by the weight grading max(w)/min(w):
   ~eps*(mu+s).  The shift is min_k A_kk / w_k, an upper bound for the
   lowest mu.  Where ?sygvx finds no Cholesky factor of A + s D^2, or
   that bound is no positive number, one search bisects with ?potrf the
-  decades above it, or above the smallest normal double, up to a
+  decades above it, or above |tr A| / sum(w) * 1e-6, up to a
   Gershgorin bound, and ?sygvx solves once more at the smallest decade
   that leaves a margin.  A caller that reads only the lowest `count`
   eigenvalues gets the index range of the `count` largest theta
@@ -191,7 +191,7 @@ def _shifted(A, w, s):
 def _gershgorin_shift(A, w, tried):
     """The smallest decade s = tried * 10^k, k >= 1, with A + (s/2) D^2 positive definite.
 
-    ``tried`` is a shift that failed, or the smallest normal double.  By
+    ``tried`` is a shift that failed, or a floor at the scale of A.  By
     Gershgorin's theorem on D^-1 A D^-1, each eigenvalue of the pencil
     is at least g = min_k (A_kk / w_k - sum_{j != k} |A_kj| / sqrt(w_k w_j)),
     so s_G = -2g puts every mu + s_G at or above s_G / 2.  The decades
@@ -202,8 +202,8 @@ def _gershgorin_shift(A, w, tried):
     rounding, and the solve loses every digit of mu_1.  The result is
     within a factor 20 of the smallest positive definite shift: s_G itself
     can lie so far above the low eigenvalues that a solve shifted by it
-    keeps no digits.  An s_G that is not finite, as where a diagonal
-    A_kk / w_k overflows to -inf, leaves no shift.
+    keeps no digits.  An s_G that overflows, as where a diagonal
+    A_kk / w_k falls to -inf, leaves no shift.
     """
     d = np.sqrt(w)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,9 +211,9 @@ def _gershgorin_shift(A, w, tried):
         scaled.reshape(-1)[:: w.size + 1] = 0.0
         s_g = -2.0 * (A.diagonal() / w - scaled.sum(axis=1)).min()
     if not np.isfinite(s_g):
-        raise SolverError("could not find a positive definite shift of (A, D^2): its lowest "
-                          "eigenvalue lies below about -1.8e308, as when q falls to -inf "
-                          "where rho decays")
+        raise SolverError("could not find a positive definite shift of (A, D^2): Gershgorin's "
+                          "lower bound on its lowest eigenvalue overflows, as when q falls to "
+                          "-inf where rho decays")
     # Decades as powers of ten from log10(tried): tried * 10.0**k overflows
     # in 10.0**k when tried is tiny and s_g large.
     start = math.log10(tried)
@@ -255,11 +255,12 @@ def _solve_inverted(A, w, compute_vectors, count):
     if usable:
         theta, V, m, _, info = solve(s)
     if not usable or info > n:
-        # info = n + i: the leading minor of order i of A + sD^2 is not
-        # positive definite.
         failed = (f"A + s D^2 with s = {s:.6g} has a leading minor of order {info - n} that is "
                   "not positive definite" if usable else f"min A_kk / w_k = {s:.6g} is no shift")
-        s = _gershgorin_shift(A, w, s if usable else np.finfo(float).tiny)
+        # Without s, start at the scale of A: from 1e-308, a mu_1 of 0 clamps all mu_i above it.
+        with np.errstate(over="ignore"):
+            floor = min(abs(np.trace(A)) / w.sum(), 1e300) * 1e-6 + np.finfo(float).tiny
+        s = _gershgorin_shift(A, w, s if usable else floor)
         _log.debug("size %d: %s; solving with s = %.6g", n, failed, s)
         theta, V, m, _, info = solve(s)
     if info != 0:

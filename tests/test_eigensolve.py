@@ -467,9 +467,9 @@ def test_graded_retry_costs_one_more_sygvx_and_a_bisection(spy):
 
 def test_graded_route_falls_back_to_a_trace_shift(caplog):
     # min A_kk / w_k = -1 is no shift, so the route searches the decades
-    # above the smallest normal double, 2.2250738585072014e-308, for the
-    # first whose half makes A + (s/2) D^2 positive definite: mu_1 is about
-    # -1.005, so s = 2.22507 is that decade.
+    # above |tr A| / sum(w) * 1e-6 = 2e-6 for the first whose half makes
+    # A + (s/2) D^2 positive definite: mu_1 is about -1.005, so s = 20 is
+    # that decade.
     A = np.array([[-1.0, 0.1, 0.0], [0.1, 2.0, 0.1], [0.0, 0.1, 3.0]])
     system = GeneralizedSystem(A, np.array([1.0, 1e-9, 1.0]), MeshConfig(h=1.0, M=1, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
@@ -477,7 +477,21 @@ def test_graded_route_falls_back_to_a_trace_shift(caplog):
     # The two lowest eigenvalues of D^-1 A D^-1 in 50-digit mpmath.
     np.testing.assert_allclose(mu, [-1.0050062499877157, 2.9950062499827657], rtol=1e-14, atol=0.0)
     assert [r.getMessage() for r in caplog.records] == [
-        "size 3: min A_kk / w_k = -1 is no shift; solving with s = 2.22507"]
+        "size 3: min A_kk / w_k = -1 is no shift; solving with s = 20"]
+
+
+def test_graded_route_keeps_a_zero_eigenvalue_apart_from_the_rest(caplog):
+    # min A_kk / w_k = 0 = mu_1 is no shift, and A + s D^2 is positive
+    # definite for every s > 0: a search from the smallest normal double
+    # would take s near 1e-307 and clamp mu_2 and mu_3 to about 2e-291.
+    # From |tr A| / sum(w) * 1e-6 = 1.5e-6 it takes the next decade.
+    system = GeneralizedSystem(np.diag([0.0, 1.0, 2.0]), np.array([1e-9, 1.0, 1.0]),
+                               MeshConfig(h=1.0, M=1, N=1))
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        mu = solve_generalized(system, count=3).eigenvalues
+    np.testing.assert_allclose(mu, [0.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
+    assert [r.getMessage() for r in caplog.records] == [
+        "size 3: min A_kk / w_k = 0 is no shift; solving with s = 1.5e-05"]
 
 
 def test_near_is_ignored_for_vectors_and_small_pencils():
@@ -682,9 +696,10 @@ def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vect
 
 @pytest.mark.parametrize("A,w,mu,failed,shift", [
     # det(A - mu D^2) = 1e-10 mu^2 - 1, up to the diagonal's 1e-290: mu =
-    # -+1e5.  The search starts at the smallest normal double, or at
-    # min A_kk / w_k = 1e-300; Gershgorin's bound 2e5 is below the first
-    # decade whose half is a definite shift, so the solve takes it.
+    # -+1e5.  The search starts at |tr A| / sum(w) * 1e-6 + tiny, the
+    # smallest normal double, or at min A_kk / w_k = 1e-300; Gershgorin's
+    # bound 2e5 is below the first decade whose half is a definite shift,
+    # so the solve takes it.
     ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1e-10], [-1e5, 1e5], "min A_kk / w_k = 0 is no shift",
      "200000"),
     ([[1e-300, 1.0], [1.0, 1e-300]], [1.0, 1e-10], [-1e5, 1e5],
@@ -693,11 +708,12 @@ def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vect
     # Gershgorin's bound reads 2e50 from the row of weight 1, whose
     # coupling to the weight 1e-100 is 1e50 after scaling, but
     # mu_1 = -1 - 1e100 / 1e100 = -2 wants only s > 4 for the margin, so
-    # the solve takes the decade 22.2507 above the smallest normal double.
+    # the solve takes the decade 10.2225 above |tr A| / sum(w) * 1e-6 + tiny
+    # = 1.02225e-306.
     ([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]], [1e300, 1.0, 1e-100], [-2.0],
-     "min A_kk / w_k = -1 is no shift", "22.2507"),
+     "min A_kk / w_k = -1 is no shift", "10.2225"),
 ], ids=["zero-diagonal", "tiny-diagonal", "far-bound"])
-def test_graded_route_finds_a_shift_beyond_the_tenfold_search(caplog, A, w, mu, failed, shift):
+def test_graded_route_bisects_the_decades_up_to_gershgorins_bound(caplog, A, w, mu, failed, shift):
     system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=len(w) - 2, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         spectrum = solve_generalized(system, count=len(mu))
@@ -712,9 +728,9 @@ def test_graded_route_gives_up_without_a_positive_definite_shift():
     A = np.array([[0.0, np.inf], [np.inf, 0.0]])
     system = GeneralizedSystem(A, np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match=r"^could not find a positive definite shift of "
-                                          r"\(A, D\^2\): its lowest eigenvalue lies below "
-                                          r"about -1\.8e308, as when q falls to -inf where "
-                                          r"rho decays$"):
+                                          r"\(A, D\^2\): Gershgorin's lower bound on its "
+                                          r"lowest eigenvalue overflows, as when q falls to "
+                                          r"-inf where rho decays$"):
         solve_generalized(system)
 
 
