@@ -713,7 +713,7 @@ def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vect
     ([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]], [1e300, 1.0, 1e-100], [-2.0],
      "min A_kk / w_k = -1 is no shift", "10.2225"),
 ], ids=["zero-diagonal", "tiny-diagonal", "far-bound"])
-def test_graded_route_bisects_the_decades_up_to_gershgorins_bound(caplog, A, w, mu, failed, shift):
+def test_graded_route_finds_a_shift_beyond_the_tenfold_search(caplog, A, w, mu, failed, shift):
     system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=len(w) - 2, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         spectrum = solve_generalized(system, count=len(mu))
