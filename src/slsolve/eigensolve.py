@@ -28,12 +28,13 @@ Two routes are used, chosen by the weight grading max(w)/min(w):
   that bound is no positive number, one search bisects with ?potrf the
   decades above it, or above |tr A| / sum(w) * 1e-6, up to a
   Gershgorin bound, and ?sygvx solves once more at the smallest decade
-  that leaves a margin.  A caller that reads only the lowest `count`
-  eigenvalues gets the index range of the `count` largest theta
-  (bisection and inverse iteration on the tridiagonal form) instead of
-  the whole spectrum.  Eigenvalues beyond 1/eps of the smallest are not resolvable
-  in this regime and are reported saturated; callers of this package
-  only consume the low end of the spectrum.
+  that leaves a margin.  Where A_kk / w_k or s w_k overflows, the
+  diagonal entry is infinite, which keeps A + s D^2 positive definite.
+  A caller that reads only the lowest `count` eigenvalues gets the index
+  range of the `count` largest theta (bisection and inverse iteration on
+  the tridiagonal form) instead of the whole spectrum.  Eigenvalues
+  beyond 1/eps of the smallest are not resolvable in this regime and are
+  reported saturated; callers read only the low end of the spectrum.
 
 ?sygvx is called directly: ``scipy.linalg.eigh`` picks the
 divide-and-conquer routine ?sygvd for a whole spectrum, and over the
@@ -202,14 +203,13 @@ def _gershgorin_shift(A, w, tried):
     rounding, and the solve loses every digit of mu_1.  The result is
     within a factor 20 of the smallest positive definite shift: s_G itself
     can lie so far above the low eigenvalues that a solve shifted by it
-    keeps no digits.  An s_G that overflows, as where a diagonal
-    A_kk / w_k falls to -inf, leaves no shift.
+    keeps no digits.  It runs inside its caller's overflow window, where an
+    s_G that overflows (a diagonal A_kk / w_k at -inf) leaves no shift.
     """
     d = np.sqrt(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.abs(A) / d[:, None] / d
-        scaled.reshape(-1)[:: w.size + 1] = 0.0
-        s_g = -2.0 * (A.diagonal() / w - scaled.sum(axis=1)).min()
+    scaled = np.abs(A) / d[:, None] / d
+    scaled.reshape(-1)[:: w.size + 1] = 0.0
+    s_g = -2.0 * (A.diagonal() / w - scaled.sum(axis=1)).min()
     if not np.isfinite(s_g):
         raise SolverError("could not find a positive definite shift of (A, D^2): Gershgorin's "
                           "lower bound on its lowest eigenvalue overflows, as when q falls to "
@@ -221,10 +221,7 @@ def _gershgorin_shift(A, w, tried):
     lo, hi = 0, top
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        # An overflowing s w_k is an infinite diagonal entry, which leaves
-        # the factorization positive definite.
-        with np.errstate(over="ignore"):
-            K = _shifted(A, w, 0.5 * 10.0 ** (start + mid))
+        K = _shifted(A, w, 0.5 * 10.0 ** (start + mid))
         if _potrf(K, overwrite_a=1, clean=0)[1] == 0:
             hi = mid
         else:
@@ -234,11 +231,6 @@ def _gershgorin_shift(A, w, tried):
 
 def _solve_inverted(A, w, compute_vectors, count):
     n = w.size
-    # Shift at the scale of the low eigenvalues: min_k A_kk / w_k is an
-    # upper bound for the smallest generalized eigenvalue and is invariant
-    # under (A, D^2) -> (cA, cD^2).
-    with np.errstate(over="ignore"):
-        s = (A.diagonal() / w).min()
     # theta = 1/(mu + s), ascending: the low mu are the largest theta, so
     # the lowest `count` of them are the index range n-count+1..n.  The
     # range 1..n with the default abstol takes LAPACK's all-eigenvalue
@@ -251,18 +243,24 @@ def _solve_inverted(A, w, compute_vectors, count):
         return _sygvx(np.diag(w).T, _shifted(A, w, s).T, jobz="V" if compute_vectors else "N",
                       range="I", il=il, iu=n, overwrite_a=1, overwrite_b=1)
 
-    usable = s > 0.0 and np.isfinite(s)
-    if usable:
-        theta, V, m, _, info = solve(s)
-    if not usable or info > n:
-        failed = (f"A + s D^2 with s = {s:.6g} has a leading minor of order {info - n} that is "
-                  "not positive definite" if usable else f"min A_kk / w_k = {s:.6g} is no shift")
-        # Without s, start at the scale of A: from 1e-308, a mu_1 of 0 clamps all mu_i above it.
-        with np.errstate(over="ignore"):
+    # One window for every shift and pencil, not mu or the eigenvectors: an overflowing
+    # A_kk / w_k or s w_k is an infinite diagonal entry, keeping A + s D^2 positive definite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # min_k A_kk / w_k: an upper bound for the lowest mu, at its scale,
+        # and invariant under (A, D^2) -> (cA, cD^2).
+        s = (A.diagonal() / w).min()
+        usable = s > 0.0 and np.isfinite(s)
+        if usable:
+            theta, V, m, _, info = solve(s)
+        if not usable or info > n:
+            failed = (f"A + s D^2 with s = {s:.6g} has a leading minor of order {info - n} "
+                      "that is not positive definite" if usable
+                      else f"min A_kk / w_k = {s:.6g} is no shift")
+            # Without s, start at the scale of A: from 1e-308, mu_1 = 0 clamps every mu above it.
             floor = min(abs(np.trace(A)) / w.sum(), 1e300) * 1e-6 + np.finfo(float).tiny
-        s = _gershgorin_shift(A, w, s if usable else floor)
-        _log.debug("size %d: %s; solving with s = %.6g", n, failed, s)
-        theta, V, m, _, info = solve(s)
+            s = _gershgorin_shift(A, w, s if usable else floor)
+            _log.debug("size %d: %s; solving with s = %.6g", n, failed, s)
+            theta, V, m, _, info = solve(s)
     if info != 0:
         raise SolverError(f"LAPACK sygvx failed (info={info})")
     theta = theta[:m]
@@ -402,7 +400,9 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     if A.shape != (w.size, w.size):
         raise ValueError(f"expected a {w.size}x{w.size} matrix, got shape {A.shape}")
     if not (A == A.T).all():
-        raise ValueError("matrix A is not symmetric; pass (A + A.T) / 2")
+        nan = np.argwhere(np.isnan(A))[:1].tolist()
+        raise ValueError("matrix A has a NaN entry at row {}, column {}".format(*nan[0]) if nan
+                         else "matrix A is not symmetric; pass (A + A.T) / 2")
     if near is not None:
         guess, moved = near
         if not len(guess) == len(moved) == min(count, w.size):

@@ -1,10 +1,11 @@
 import csv
 import io
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from slsolve import cli, meshing, study
 from slsolve.cli import main
@@ -384,10 +385,18 @@ def configs(draw):
     return "\n".join(lines) + "\n"
 
 
+# q falls to -inf where rho = exp(-x) decays: the graded solve finds no
+# shift at n = 6, and every shift it tries overflows s * w_k.
+UNBOUNDED_BELOW = ("interval = realline\nmap = de\nq = (-1.47)*x^2\nrho = exp(-x)\nd = 0.7\n"
+                   "beta_l = 0.25\nbeta_r = 1\ngamma_l = 1\ngamma_r = 0.5\nalpha_se = 1\n"
+                   "rho_decay_se = 1\nkappa = 50.5\n")
+
+
 @settings(derandomize=True, database=None, max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=configs(), mode=st.sampled_from(MODES), n_max=st.integers(2, 30),
        eig_index=st.integers(1, 3))
+@example(config=UNBOUNDED_BELOW, mode=["--method", "de", "--balanced"], n_max=10, eig_index=1)
 def test_any_config_runs_or_fails_with_one_message(tmp_path, config, mode, n_max, eig_index):
     # Either every mu of the CSV is finite, or the run exits 2 or 3 with
     # one line on stderr; no exception or warning escapes main.
@@ -395,9 +404,14 @@ def test_any_config_runs_or_fails_with_one_message(tmp_path, config, mode, n_max
     out = tmp_path / "out.csv"
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
+    # Under the "error" filter a warning in a study becomes a StudyError,
+    # which exits 3 with one line; recorded, it fails the check below.
+    with (warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout),
+          redirect_stderr(stderr)):
+        warnings.simplefilter("always")
         code = main(["--problem", str(tmp_path / "p.slp"), *mode, "--eig-index", str(eig_index),
                      "--n-min", "2", "--n-max", str(n_max), "--output", str(out)])
+    assert [str(w.message) for w in caught] == [], config
     if code == 0:
         assert all(math.isfinite(float(r["mu"])) for r in read_rows(out)), config
     else:

@@ -90,6 +90,16 @@ def test_standard_solver_rejects_asymmetric():
         solve_generalized(GeneralizedSystem(np.eye(2), np.ones(3), mesh))
 
 
+@pytest.mark.parametrize("w", [[1.0, 1.0, 1.0], [1.0, 1e-10, 1e-12]], ids=["congruence", "graded"])
+def test_solver_names_a_nan_entry_instead_of_asking_for_symmetry(w):
+    # A NaN is unequal to itself, so it fails the symmetry check even on
+    # the diagonal; symmetrizing cannot mend it.
+    A = np.diag([2.0, np.nan, 2.0])
+    A[2, 0] = A[0, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^matrix A has a NaN entry at row 0, column 2$"):
+        solve_generalized(GeneralizedSystem(A, np.array(w), MeshConfig(h=1.0, M=1, N=1)))
+
+
 def test_standard_solver_residuals():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((40, 40))
@@ -434,18 +444,61 @@ def test_wrong_near_falls_back_to_the_dense_result_bit_for_bit(caplog, cause, gu
     assert cause in message
 
 
-def test_shift_retry_is_logged(caplog):
+@pytest.mark.parametrize("A,w,count,mu,rtol,atol,message", [
     # s = min A_kk / w_k = 1 leaves A + s D^2 indefinite; s = 10 does not,
-    # and neither does A + (s/2) D^2.
-    system = GeneralizedSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1e-10]),
-                               MeshConfig(h=1.0, M=0, N=1))
+    # and neither does A + (s/2) D^2.  det(A - mu D^2) = 1e-10 mu^2 -
+    # (1 + 1e-10) mu - 3: roots -3e10 / mu_2 and about 1e10 + 4.
+    ([[1.0, 2.0], [2.0, 1.0]], [1.0, 1e-10], None, [-3e10 / (1e10 + 4)], 1e-12, 0.0,
+     "size 2: A + s D^2 with s = 1 has a leading minor of order 2 that is not positive "
+     "definite; solving with s = 10"),
+    # min A_kk / w_k = -1 is no shift, so the route searches the decades
+    # above |tr A| / sum(w) * 1e-6 = 2e-6 for the first whose half makes
+    # A + (s/2) D^2 positive definite: mu_1 is about -1.005, so s = 20 is
+    # that decade.  The two lowest eigenvalues of D^-1 A D^-1 in 50-digit
+    # mpmath.
+    ([[-1.0, 0.1, 0.0], [0.1, 2.0, 0.1], [0.0, 0.1, 3.0]], [1.0, 1e-9, 1.0], 2,
+     [-1.0050062499877157, 2.9950062499827657], 1e-14, 0.0,
+     "size 3: min A_kk / w_k = -1 is no shift; solving with s = 20"),
+    # min A_kk / w_k = 0 = mu_1 is no shift, and A + s D^2 is positive
+    # definite for every s > 0: a search from the smallest normal double
+    # would take s near 1e-307 and clamp mu_2 and mu_3 to about 2e-291.
+    # From |tr A| / sum(w) * 1e-6 = 1.5e-6 it takes the next decade.
+    ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], [1e-9, 1.0, 1.0], 3, [0.0, 1.0, 2.0],
+     0.0, 1e-12, "size 3: min A_kk / w_k = 0 is no shift; solving with s = 1.5e-05"),
+    # det(A - mu D^2) = 1e-10 mu^2 - 1, up to the diagonal's 1e-290: mu =
+    # -+1e5.  The search starts at |tr A| / sum(w) * 1e-6 + tiny, the
+    # smallest normal double, or at min A_kk / w_k = 1e-300; Gershgorin's
+    # bound 2e5 is below the first decade whose half is a definite shift,
+    # so the solve takes it.
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1e-10], 2, [-1e5, 1e5], 1e-10, 0.0,
+     "size 2: min A_kk / w_k = 0 is no shift; solving with s = 200000"),
+    ([[1e-300, 1.0], [1.0, 1e-300]], [1.0, 1e-10], 2, [-1e5, 1e5], 1e-10, 0.0,
+     "size 2: A + s D^2 with s = 1e-300 has a leading minor of order 2 that is not positive "
+     "definite; solving with s = 200000"),
+    # Gershgorin's bound reads 2e50 from the row of weight 1, whose
+    # coupling to the weight 1e-100 is 1e50 after scaling, but
+    # mu_1 = -1 - 1e100 / 1e100 = -2 wants only s > 4 for the margin, so
+    # the solve takes the decade 10.2225 above |tr A| / sum(w) * 1e-6 + tiny
+    # = 1.02225e-306.
+    ([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]], [1e300, 1.0, 1e-100], 1, [-2.0],
+     1e-10, 0.0, "size 3: min A_kk / w_k = -1 is no shift; solving with s = 10.2225"),
+    # -1 / 1e-10 = -1e10 is no shift, and the trace 0 leaves the search at
+    # the smallest normal double.  No decade below Gershgorin's bound 2e10
+    # makes -1 + (s/2) 1e-10 positive, so the solve takes the bound; each
+    # shift past 1.8e8 overflows s * 1e300 to an infinite diagonal entry,
+    # without a warning.
+    ([[-1.0, 0.0], [0.0, 1.0]], [1e-10, 1e300], 1, [-1e10], 1e-12, 0.0,
+     "size 2: min A_kk / w_k = -1e+10 is no shift; solving with s = 2e+10"),
+], ids=["indefinite-first-shift", "trace-floor", "zero-eigenvalue", "zero-diagonal",
+        "tiny-diagonal", "far-bound", "overflowing-weight"])
+def test_graded_route_shift_search(caplog, A, w, count, mu, rtol, atol, message):
+    # When min A_kk / w_k is no definite shift, one search finds one and
+    # logs what failed and the shift taken.
+    system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=len(w) - 2, N=1))
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
-        mu = solve_generalized(system).eigenvalues
-    # det(A - mu D^2) = 1e-10 mu^2 - (1 + 1e-10) mu - 3: roots -3e10 / mu_2 and about 1e10 + 4
-    assert mu[0] == pytest.approx(-3e10 / (1e10 + 4), rel=1e-12)
-    assert [r.getMessage() for r in caplog.records] == [
-        "size 2: A + s D^2 with s = 1 has a leading minor of order 2 that is not "
-        "positive definite; solving with s = 10"]
+        spectrum = solve_generalized(system, count=count)
+    np.testing.assert_allclose(spectrum.eigenvalues[:len(mu)], mu, rtol=rtol, atol=atol)
+    assert [r.getMessage() for r in caplog.records] == [message]
 
 
 def test_graded_retry_costs_one_more_sygvx_and_a_bisection(spy):
@@ -463,35 +516,6 @@ def test_graded_retry_costs_one_more_sygvx_and_a_bisection(spy):
     decades = math.ceil(math.log10(2.0 * (20.0 / math.sqrt(1e-10) - 1.0)))
     assert len(sygvx) == 2
     assert len(potrf) <= math.ceil(math.log2(decades)) + 1
-
-
-def test_graded_route_falls_back_to_a_trace_shift(caplog):
-    # min A_kk / w_k = -1 is no shift, so the route searches the decades
-    # above |tr A| / sum(w) * 1e-6 = 2e-6 for the first whose half makes
-    # A + (s/2) D^2 positive definite: mu_1 is about -1.005, so s = 20 is
-    # that decade.
-    A = np.array([[-1.0, 0.1, 0.0], [0.1, 2.0, 0.1], [0.0, 0.1, 3.0]])
-    system = GeneralizedSystem(A, np.array([1.0, 1e-9, 1.0]), MeshConfig(h=1.0, M=1, N=1))
-    with caplog.at_level(logging.DEBUG, logger="slsolve"):
-        mu = solve_generalized(system, count=2).eigenvalues
-    # The two lowest eigenvalues of D^-1 A D^-1 in 50-digit mpmath.
-    np.testing.assert_allclose(mu, [-1.0050062499877157, 2.9950062499827657], rtol=1e-14, atol=0.0)
-    assert [r.getMessage() for r in caplog.records] == [
-        "size 3: min A_kk / w_k = -1 is no shift; solving with s = 20"]
-
-
-def test_graded_route_keeps_a_zero_eigenvalue_apart_from_the_rest(caplog):
-    # min A_kk / w_k = 0 = mu_1 is no shift, and A + s D^2 is positive
-    # definite for every s > 0: a search from the smallest normal double
-    # would take s near 1e-307 and clamp mu_2 and mu_3 to about 2e-291.
-    # From |tr A| / sum(w) * 1e-6 = 1.5e-6 it takes the next decade.
-    system = GeneralizedSystem(np.diag([0.0, 1.0, 2.0]), np.array([1e-9, 1.0, 1.0]),
-                               MeshConfig(h=1.0, M=1, N=1))
-    with caplog.at_level(logging.DEBUG, logger="slsolve"):
-        mu = solve_generalized(system, count=3).eigenvalues
-    np.testing.assert_allclose(mu, [0.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
-    assert [r.getMessage() for r in caplog.records] == [
-        "size 3: min A_kk / w_k = 0 is no shift; solving with s = 1.5e-05"]
 
 
 def test_near_is_ignored_for_vectors_and_small_pencils():
@@ -694,39 +718,17 @@ def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vect
         solve_generalized(system, compute_vectors=compute_vectors)
 
 
-@pytest.mark.parametrize("A,w,mu,failed,shift", [
-    # det(A - mu D^2) = 1e-10 mu^2 - 1, up to the diagonal's 1e-290: mu =
-    # -+1e5.  The search starts at |tr A| / sum(w) * 1e-6 + tiny, the
-    # smallest normal double, or at min A_kk / w_k = 1e-300; Gershgorin's
-    # bound 2e5 is below the first decade whose half is a definite shift,
-    # so the solve takes it.
-    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1e-10], [-1e5, 1e5], "min A_kk / w_k = 0 is no shift",
-     "200000"),
-    ([[1e-300, 1.0], [1.0, 1e-300]], [1.0, 1e-10], [-1e5, 1e5],
-     "A + s D^2 with s = 1e-300 has a leading minor of order 2 that is not positive definite",
-     "200000"),
-    # Gershgorin's bound reads 2e50 from the row of weight 1, whose
-    # coupling to the weight 1e-100 is 1e50 after scaling, but
-    # mu_1 = -1 - 1e100 / 1e100 = -2 wants only s > 4 for the margin, so
-    # the solve takes the decade 10.2225 above |tr A| / sum(w) * 1e-6 + tiny
-    # = 1.02225e-306.
-    ([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]], [1e300, 1.0, 1e-100], [-2.0],
-     "min A_kk / w_k = -1 is no shift", "10.2225"),
-], ids=["zero-diagonal", "tiny-diagonal", "far-bound"])
-def test_graded_route_finds_a_shift_beyond_the_tenfold_search(caplog, A, w, mu, failed, shift):
-    system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=len(w) - 2, N=1))
-    with caplog.at_level(logging.DEBUG, logger="slsolve"):
-        spectrum = solve_generalized(system, count=len(mu))
-    np.testing.assert_allclose(spectrum.eigenvalues, mu, rtol=1e-10, atol=0.0)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"size {len(w)}: {failed}; solving with s = {shift}"]
-
-
-def test_graded_route_gives_up_without_a_positive_definite_shift():
+@pytest.mark.parametrize("A,w", [
     # An infinite coupling makes Gershgorin's bound infinite: no shift
     # makes A + s D^2 positive definite.
-    A = np.array([[0.0, np.inf], [np.inf, 0.0]])
-    system = GeneralizedSystem(A, np.array([1.0, 1e-10]), MeshConfig(h=1.0, M=0, N=1))
+    ([[0.0, np.inf], [np.inf, 0.0]], [1.0, 1e-10]),
+    # Every A_kk / w_k overflows, so min A_kk / w_k is no shift and
+    # Gershgorin's bound is not finite: the route raises rather than
+    # return eigenvalues that overflow.
+    ([[1e300, 0.0], [0.0, 1e300]], [1e-10, 1e-300]),
+], ids=["infinite-coupling", "overflowing-diagonal"])
+def test_graded_route_gives_up_without_a_positive_definite_shift(A, w):
+    system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match=r"^could not find a positive definite shift of "
                                           r"\(A, D\^2\): Gershgorin's lower bound on its "
                                           r"lowest eigenvalue overflows, as when q falls to "

@@ -18,7 +18,7 @@ Last come the ``cli`` series: ``slsolve.cli.main`` runs in the child on
 bessel, laguerre, singular and the radial-well config file, each with
 ``--method se``, ``--method de``, ``--method de --balanced`` and
 ``--compare --rate-fit``, at ``--eig-index`` 1 and 2 over
-n = 2..min(n_max, 60), and on five inputs it must refuse.  Each compares
+n = 2..min(n_max, 60), and on six inputs it must refuse.  Each compares
 the exit code, the stdout and stderr lines and the CSV bytes.  The runs
 share a temporary working directory, named by relative paths only, and
 ``time.perf_counter`` is pinned, so neither the tree nor the run time
@@ -53,9 +53,15 @@ CLI_PROBLEMS = ("bessel", "laguerre", "singular", CLI_CONFIG)
 CLI_MODES = (("--method", "se"), ("--method", "de"), ("--method", "de", "--balanced"),
              ("--compare", "--rate-fit"))
 CLI_N_MAX = 60
+# A real-line operator unbounded below: q falls to -inf where rho = exp(-x)
+# decays, so the graded solve finds no shift at n = 6.
+UNBOUNDED_CONFIG = "unbounded-below.cfg"
+UNBOUNDED = ("interval = realline\nmap = de\nq = (-1.47)*x^2\nrho = exp(-x)\nd = 0.7\n"
+             "beta_l = 0.25\nbeta_r = 1\ngamma_l = 1\ngamma_r = 0.5\nalpha_se = 1\n"
+             "rho_decay_se = 1\nkappa = 50.5\n")
 # Inputs the command refuses: a range past the size budget, an index past
-# every pencil, a malformed parameter, a missing config file and an
-# unwritable output.
+# every pencil, a malformed parameter, a missing config file, an
+# unwritable output and an operator unbounded below.
 CLI_REFUSALS = (
     ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "5000"),
     ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "3",
@@ -64,6 +70,8 @@ CLI_REFUSALS = (
     ("--problem", "missing.cfg", "--method", "de", "--n-min", "2", "--n-max", "3"),
     ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "3",
      "--output", "missing/out.csv"),
+    ("--problem", UNBOUNDED_CONFIG, "--method", "de", "--balanced", "--n-min", "2",
+     "--n-max", "10"),
 )
 
 
@@ -143,6 +151,7 @@ def _cli(n_max, config):
         time.perf_counter = lambda: 0.0
         try:
             Path(CLI_CONFIG).write_text(config)
+            Path(UNBOUNDED_CONFIG).write_text(UNBOUNDED)
             for argv in _cli_runs(n_max):
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
