@@ -14,7 +14,8 @@ Two routes are used, chosen by the weight grading max(w)/min(w):
 
 * up to GRADE_LIMIT: the diagonal congruence B = D^-1 A D^-1, applied
   as a_jk / (d_j d_k), which is exact, cheap and bitwise-symmetric;
-  eigenvalues of B are the generalized eigenvalues.
+  eigenvalues of B are the generalized eigenvalues, from one call of
+  LAPACK's divide-and-conquer routine ?syevd.
 
 * beyond it (double-exponential weights at large truncation are graded
   by up to 1e272): the congruence norm explodes like 1/min(w) and a
@@ -48,7 +49,14 @@ the congruence keeps every pencil the grading allows.  That route
 computes the whole spectrum and slices it: an index-range ?syevx solve
 was about 40 % faster there, but it changes the last bits of the low
 eigenvalues, which gates at rounding level compare, so every ungraded
-level stays bitwise what the full solve gives.
+level stays bitwise what the full solve gives.  ?syevd is called through
+scipy's handle, as ?sygvx is, with the workspace ?syevd_lwork queries:
+scipy's default is LAPACK's minimum, which without vectors leaves the
+tridiagonal reduction unblocked and moved last bits on 204 of 241
+ungraded builtin levels.  With the queried workspace its eigenvalues and
+vectors are bitwise those of numpy's eigvalsh and eigh, which make the
+same LAPACK call through a wrapper and an OpenBLAS of their own, 2-4 us
+a call slower at sizes 5-11 and even at sizes 41-121 (one BLAS thread).
 
 A convergence study knows each level's eigenvalues before it solves it:
 the previous level's, to the study's own convergence.  Given them as
@@ -167,19 +175,23 @@ def assemble(tp: TransformedProblem, mesh: MeshConfig) -> GeneralizedSystem:
     return GeneralizedSystem(matrix=A, weights=wvals, mesh=mesh)
 
 
+_syevd, _syevd_lwork, _sygvx, _potrf = scipy.linalg.get_lapack_funcs(
+    ("syevd", "syevd_lwork", "sygvx", "potrf"), dtype=np.float64)
+
+
 def _solve_congruence(A, w, compute_vectors, count):
     d = np.sqrt(w)
     B = A / (d[:, None] * d)
-    try:
-        if not compute_vectors:
-            return Spectrum(eigenvalues=np.linalg.eigvalsh(B)[:count])
-        mu, vectors = np.linalg.eigh(B)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"symmetric eigensolver failed: {exc}") from exc
+    # The queried workspace, not scipy's minimal default (see above).  B
+    # is bitwise symmetric, so B.T is B in Fortran order, solved in place.
+    lwork, liwork, _ = _syevd_lwork(w.size, compute_v=compute_vectors, lower=1)
+    mu, vectors, info = _syevd(B.T, compute_v=compute_vectors, lower=1, lwork=int(lwork),
+                               liwork=liwork, overwrite_a=1)
+    if info != 0:
+        raise SolverError(f"LAPACK syevd failed (info={info})")
+    if not compute_vectors:
+        return Spectrum(eigenvalues=mu[:count])
     return Spectrum(eigenvalues=mu[:count], eigenvectors=vectors[:, :count] / d[:, None])
-
-
-_sygvx, _potrf = scipy.linalg.get_lapack_funcs(("sygvx", "potrf"), dtype=np.float64)
 
 
 def _shifted(A, w, s):
@@ -204,7 +216,8 @@ def _gershgorin_shift(A, w, tried):
     within a factor 20 of the smallest positive definite shift: s_G itself
     can lie so far above the low eigenvalues that a solve shifted by it
     keeps no digits.  It runs inside its caller's overflow window, where an
-    s_G that overflows (a diagonal A_kk / w_k at -inf) leaves no shift.
+    s_G that is not finite leaves no shift: +inf where an A_kk / w_k falls
+    to -inf or a coupling is infinite, -inf where every A_kk / w_k overflows.
     """
     d = np.sqrt(w)
     scaled = np.abs(A) / d[:, None] / d
@@ -212,8 +225,9 @@ def _gershgorin_shift(A, w, tried):
     s_g = -2.0 * (A.diagonal() / w - scaled.sum(axis=1)).min()
     if not np.isfinite(s_g):
         raise SolverError("could not find a positive definite shift of (A, D^2): Gershgorin's "
-                          "lower bound on its lowest eigenvalue overflows, as when q falls to "
-                          "-inf where rho decays")
+                          "lower bound on its lowest eigenvalue "
+                          + ("is +inf: every A_kk / w_k overflows" if s_g < 0.0 else
+                             "overflows, as when q falls to -inf where rho decays"))
     # Decades as powers of ten from log10(tried): tried * 10.0**k overflows
     # in 10.0**k when tried is tiny and s_g large.
     start = math.log10(tried)

@@ -281,8 +281,11 @@ def test_count_on_ungraded_pencils_is_a_slice_of_the_full_solve():
 
 
 def test_congruence_route_rounds_like_the_outer_product():
-    # The ungraded route divides A by the products d_j d_k of d = sqrt(w):
-    # pin its eigenvalues bit for bit to the plain numpy expression.
+    # The ungraded route divides A by the products d_j d_k of d = sqrt(w)
+    # and calls scipy's ?syevd: pin its eigenvalues, and its eigenvectors
+    # scaled by 1/d, bit for bit to numpy's eigvalsh and eigh of the plain
+    # numpy expression.  numpy and scipy bundle LAPACK builds of their own,
+    # and this is the comparison that pins them to each other.
     seen = 0
     for problem in (builtin("bessel"), builtin("laguerre"), builtin("singular")):
         tp = transformed(problem, "de")
@@ -292,10 +295,15 @@ def test_congruence_route_rounds_like_the_outer_product():
                 continue
             seen += 1
             d = np.sqrt(system.weights)
-            reference = np.linalg.eigvalsh(system.matrix / np.outer(d, d))
+            B = system.matrix / np.outer(d, d)
+            reference = np.linalg.eigvalsh(B)
+            mu, vectors = np.linalg.eigh(B)
             for k in (1, 3):
                 low = solve_generalized(system, count=k).eigenvalues
                 assert np.array_equal(low, reference[:k])
+                pairs = solve_generalized(system, compute_vectors=True, count=k)
+                assert np.array_equal(pairs.eigenvalues, mu[:k])
+                assert np.array_equal(pairs.eigenvectors, vectors[:, :k] / d[:, None])
     assert seen >= 8
 
 
@@ -707,32 +715,29 @@ def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(spy, caplog
 
 @pytest.mark.parametrize("compute_vectors", [False, True])
 def test_congruence_route_reports_a_failed_eigensolver(monkeypatch, compute_vectors):
-    def fail(B):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    # info > 0: the eigensolver did not converge.
+    monkeypatch.setattr(eigensolve, "_syevd",
+                        lambda a, **kwargs: (np.zeros(2), np.zeros((2, 2)), 1))
     system = GeneralizedSystem(np.eye(2), np.ones(2), MeshConfig(h=1.0, M=0, N=1))
-    with pytest.raises(SolverError, match="^symmetric eigensolver failed: Eigenvalues did not "
-                                          "converge$"):
+    with pytest.raises(SolverError, match=r"^LAPACK syevd failed \(info=1\)$"):
         solve_generalized(system, compute_vectors=compute_vectors)
 
 
-@pytest.mark.parametrize("A,w", [
+@pytest.mark.parametrize("A,w,cause", [
     # An infinite coupling makes Gershgorin's bound infinite: no shift
     # makes A + s D^2 positive definite.
-    ([[0.0, np.inf], [np.inf, 0.0]], [1.0, 1e-10]),
+    ([[0.0, np.inf], [np.inf, 0.0]], [1.0, 1e-10],
+     "overflows, as when q falls to -inf where rho decays"),
     # Every A_kk / w_k overflows, so min A_kk / w_k is no shift and
-    # Gershgorin's bound is not finite: the route raises rather than
-    # return eigenvalues that overflow.
-    ([[1e300, 0.0], [0.0, 1e300]], [1e-10, 1e-300]),
+    # Gershgorin's bound is +inf: the route raises rather than return
+    # eigenvalues that overflow.
+    ([[1e300, 0.0], [0.0, 1e300]], [1e-10, 1e-300], r"is \+inf: every A_kk / w_k overflows"),
 ], ids=["infinite-coupling", "overflowing-diagonal"])
-def test_graded_route_gives_up_without_a_positive_definite_shift(A, w):
+def test_graded_route_gives_up_without_a_positive_definite_shift(A, w, cause):
     system = GeneralizedSystem(np.array(A), np.array(w), MeshConfig(h=1.0, M=0, N=1))
     with pytest.raises(SolverError, match=r"^could not find a positive definite shift of "
                                           r"\(A, D\^2\): Gershgorin's lower bound on its "
-                                          r"lowest eigenvalue overflows, as when q falls to "
-                                          r"-inf where rho decays$"):
+                                          rf"lowest eigenvalue {cause}$"):
         solve_generalized(system)
 
 

@@ -205,7 +205,8 @@ def run_tree(src, n_max, config):
     return result
 
 
-def _child_run(tree, n_max, config):
+def run_child(tree, n_max, config):
+    """``run_tree`` of ``tree``'s ``src`` in a child process, with one BLAS thread by default."""
     env = dict(os.environ)
     for name in THREAD_VARIABLES:
         env.setdefault(name, "1")
@@ -219,12 +220,13 @@ def _child_run(tree, n_max, config):
 
 
 def compare_trees(parent, change, n_max=200):
-    """Lines naming the first difference of each differing series; empty when identical.
-
-    Both trees run the radial-well config of CHANGE's README.
-    """
+    """``compare_runs`` of the two trees, each run on the radial-well config of CHANGE's README."""
     config = readme_config(change)
-    before, after = _child_run(parent, n_max, config), _child_run(change, n_max, config)
+    return compare_runs(run_child(parent, n_max, config), run_child(change, n_max, config))
+
+
+def compare_runs(before, after):
+    """Lines naming the first difference of each differing series; empty when identical."""
     lines = []
     for key in sorted(set(before) | set(after)):
         if key not in before or key not in after:
