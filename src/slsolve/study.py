@@ -283,9 +283,16 @@ def rate_fit(records: Sequence[StudyRecord]):
     error at or below PLATEAU_FLOOR * max(1, |mu|) (later records are
     rounding noise, whether above or below the floor), and n < 3 is
     excluded since n/log(n) is not monotone there (n = 2 and n = 4 share
-    the abscissa 2/log 2).
+    the abscissa 2/log 2).  The records must be one series: two records
+    for one level, as a study of several eigenvalue indices gives, are a
+    ValueError that names the level.
     """
-    ordered = sorted((r for r in records if r.error() is not None), key=lambda r: r.n)
+    levels = set()
+    for r in records:
+        if r.n in levels:
+            raise ValueError(f"rate fit takes one series, but level n={r.n} has two records")
+        levels.add(r.n)
+    ordered =sorted((r for r in records if r.error() is not None), key=lambda r: r.n)
     cut = len(ordered)
     for idx, r in enumerate(ordered):
         e = r.error()

@@ -58,7 +58,7 @@ def test_a_changed_tree_differs_in_every_series(tool, parent_run, tmp_path, old,
     study = [line for line in lines if not line.startswith("cli ")]
     assert len(study) == 24 and all(first in line for line in study)
     # Four problems by four modes by two indices: each command that writes
-    # records writes the changed ones; the six refusals write none.
+    # records writes the changed ones; the seven refusals write none.
     assert len(lines) - len(study) == 32
 
 

@@ -381,20 +381,25 @@ def _level_mesh(problem, method, n):
     return de_mesh_symmetric(profile, n)
 
 
-@pytest.mark.parametrize("method,n,kind,index,point", [
-    ("se", 80, AssemblyError, -80, -19.869176531592203),
-    ("de", 140, DefinitenessError, 247, 5.955348338410549),
-    ("de", 200, AssemblyError, -200, -3.6531342977946095),
-])
-def test_assemble_reports_leftmost_failure(method, n, kind, index, point):
-    # The tails of the Bessel mesh do not resolve at these levels; the
-    # error names the leftmost failing k, q ahead of w at the same k.
-    problem = builtin("bessel", n=7)
+@pytest.mark.parametrize("series,n,kind,fails", [
+    ("se", 40, AssemblyError, "q"),
+    ("de-balanced", 15, DefinitenessError, "weight"),
+    ("de-balanced", 40, AssemblyError, "q left of weight"),
+    ("de-balanced", 100, AssemblyError, "q and weight at one k"),
+], ids=["se-q", "de-balanced-weight", "de-balanced-q-left-of-weight", "de-balanced-tie"])
+def test_assemble_reports_leftmost_failure(failing, series, n, kind, fails):
+    # The error names the leftmost failing k, q ahead of w at the same k;
+    # where q and w fail follows from the failing problem's formula.
+    mesh = failing.mesh(series, n)
+    q, w = failing.failures(series, mesh)
+    assert fails == ("q" if w is None else "weight" if q is None
+                     else "q left of weight" if q[0] < w[0]
+                     else "q and weight at one k" if q[0] == w[0] else "weight left of q")
     with pytest.raises(AssemblyError) as info:
-        assemble(transformed(problem, method), _level_mesh(problem, method, n))
+        assemble(transformed(failing.problem, series[:2]), mesh)
     assert type(info.value) is kind
-    assert info.value.index == index
-    assert info.value.point == point
+    k, t, _ = q if kind is AssemblyError else w
+    assert (info.value.index, info.value.point) == (k, t)
 
 
 @pytest.mark.parametrize("name", ["bessel", "laguerre", "singular"])

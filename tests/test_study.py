@@ -158,6 +158,17 @@ def test_rate_fit_plateau_cut_is_relative_to_mu():
     assert r2 > 0.999
 
 
+def test_rate_fit_refuses_two_records_for_one_level():
+    # A study of several indices holds one series per index; fitting them
+    # as one would blend their rates.
+    records = convergence_study(builtin("laguerre", alpha=3.0), "de", range(2, 12),
+                                eig_indices=(1, 2), balanced=True)
+    with pytest.raises(ValueError, match=r"^rate fit takes one series, but level n=2 has two "):
+        rate_fit(records)
+    kappa_hat, _ = rate_fit([r for r in records if r.eig_index == 2])
+    assert kappa_hat > 0.0
+
+
 def test_rate_fit_r_squared_is_the_squared_correlation():
     # Noisy errors, so r^2 is well inside (0, 1); for a straight-line fit
     # it is the squared correlation of x = n/log(n) and y = log(error).
@@ -366,6 +377,16 @@ LEVELS = (2, 3, 5, 9, 17, 33, 65, 73, 122, 196, 200)
 BESSEL_LAST = {("se", False): 73, ("de", True): 122, ("de", False): 196}
 
 
+@pytest.mark.xfail(strict=True, raises=StudyError,
+                   reason="ROADMAP item 1: the level after BESSEL_LAST does not assemble")
+@pytest.mark.parametrize("method,balanced", [("se", False), ("de", False), ("de", True)],
+                         ids=["se", "de", "de-balanced"])
+def test_bessel_runs_the_level_after_its_last(method, balanced):
+    n = BESSEL_LAST[method, balanced] + 1
+    records = convergence_study(builtin("bessel", n=7), method, [n], balanced=balanced)
+    assert [r.n for r in records] == [n]
+
+
 @pytest.mark.parametrize("method,balanced", [("se", False), ("de", False), ("de", True)],
                          ids=["se", "de", "de-balanced"])
 @pytest.mark.parametrize("name", ["bessel", "laguerre", "singular", "radial-well"])
@@ -436,31 +457,18 @@ def test_levels_of_one_size_each_get_their_own_slice():
         assert wvals.tobytes() == tp.weight(mesh.nodes).tobytes()
 
 
-def test_failing_bulk_evaluation_serves_every_level_the_problem_itself():
-    def qtilde(t):
-        raise ValueError("not on every node")
-
-    tp = TransformedProblem(qtilde=qtilde, weight=np.ones_like)
-    meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=4, N=5)]
-    assert [level is tp for level in study._level_problems(tp, meshes)] == [True, True]
-
-
-def test_failing_half_serves_only_its_own_levels_the_problem_itself():
-    # Only the last mesh reaches past t = 2, and it alone makes up the
-    # second half of the three levels.
-    def qtilde(t):
-        if np.abs(t).max() > 2.0:
-            raise ValueError("not past t = 2")
-        return np.zeros_like(t)
-
-    tp = TransformedProblem(qtilde=qtilde, weight=np.ones_like)
-    meshes = [MeshConfig(h=0.5, M=3, N=3), MeshConfig(h=0.25, M=4, N=4),
-              MeshConfig(h=0.5, M=5, N=5)]
-    assert [level is tp for level in study._level_problems(tp, meshes)] == [False, False, True]
-
-
-@pytest.mark.parametrize("levels", [1, 2, 5, 6])
-def test_study_evaluates_each_half_of_its_levels_once(monkeypatch, levels):
+@pytest.mark.parametrize("series,ns", [
+    *(pytest.param(None, range(2, 2 + levels), id=str(levels)) for levels in (1, 2, 5, 6)),
+    # The failing problem's last level is the first that fails (conftest.py).
+    pytest.param("se", range(19, 23), id="failing-second-half"),
+    pytest.param("se", range(21, 24), id="failing-first-half"),
+    pytest.param("de-balanced", range(9, 12), id="failing-weight"),
+])
+def test_study_evaluates_each_half_of_its_levels_once(monkeypatch, failing, series, ns):
+    # Laguerre by default.  Each half of the levels is evaluated by one call
+    # of qtilde and one of weight on its nodes in a row; when that call
+    # raises, each level of the half evaluates its own nodes, so the
+    # failing level raises after the levels before it have solved.
     events = []
     real_transformed = study.transformed
 
@@ -474,32 +482,50 @@ def test_study_evaluates_each_half_of_its_levels_once(monkeypatch, levels):
     monkeypatch.setattr(study, "transformed", counted_transformed)
     monkeypatch.setattr(study, "solve_generalized", lambda system, **kwargs: (
         events.append(("solve", system.size)) or real_solve(system, **kwargs)))
-    records = convergence_study(builtin("laguerre", alpha=3.0), "de", range(2, 2 + levels))
-    sizes = [r.size for r in records]
-    half = (levels + 1) // 2
-    first = [("qtilde", sum(sizes[:half])), ("weight", sum(sizes[:half]))]
-    second = [("qtilde", sum(sizes[half:])), ("weight", sum(sizes[half:]))] if levels > 1 else []
-    assert events == (first + [("solve", size) for size in sizes[:half]]
-                      + second + [("solve", size) for size in sizes[half:]])
+    if series is None:
+        records = convergence_study(builtin("laguerre", alpha=3.0), "de", ns)
+        sizes, failed = [r.size for r in records], None
+    else:
+        with pytest.raises(StudyError) as raised:
+            failing.study(series, ns)
+        sizes = [failing.mesh(series, n).size for n in ns]
+        failed = ns.index(raised.value.n)
+        q, _ = failing.failures(series, failing.mesh(series, raised.value.n))
+    half = (len(ns) + 1) // 2
+    expected = []
+    for batch in (range(half), range(half, len(ns))):
+        calls = [(name, sum(sizes[i] for i in batch)) for name in ("qtilde", "weight")]
+        if failed not in batch:
+            expected += (calls if batch else []) + [("solve", sizes[i]) for i in batch]
+            continue
+        # The batch call stops at the first coefficient that fails.
+        expected += calls[:1] if q is not None else calls
+        for i in batch[:batch.index(failed) + 1]:
+            expected += [("qtilde", sizes[i]), ("weight", sizes[i])]
+            expected += [("solve", sizes[i])] if i < failed else []
+        break
+    assert events == expected
 
 
-@pytest.mark.parametrize("method,balanced,ns,message", [
-    ("se", False, [72, 73, 74],
-     "problem='bessel' method='se' n=74: coefficient q undefined or non-finite at x=0.0 "
-     "(index k=-74, t=-19.10956207871615)"),
-    ("de", False, [195, 196, 197],
-     "problem='bessel' method='de' n=197: coefficient q undefined or non-finite at x=0.0 "
-     "(index k=-197, t=-3.641272862734817)"),
-    ("de", True, [121, 122, 123],
-     "problem='bessel' method='de' n=123: transformed weight must be positive, got 0.0 "
-     "(index k=223, t=5.939364117870999)"),
+@pytest.mark.parametrize("series,ns", [
+    ("se", [20, 21, 22]), ("de", [17, 18, 19]), ("de-balanced", [9, 10, 11]),
 ], ids=["se", "de", "de-balanced"])
-def test_failing_level_raises_after_the_levels_before_it(spy, method, balanced, ns, message):
-    # The evaluation on all nodes fails, so each level evaluates its own.
+def test_failing_level_raises_after_the_levels_before_it(failing, spy, series, ns):
+    # The last level is the failing problem's first to fail, by q or by the
+    # weight alone; it is the second half, so it evaluates its own nodes.
+    method = series[:2]
+    assert [failing.failures(series, failing.mesh(series, n)) for n in ns[:-1]] == [
+        (None, None)] * (len(ns) - 1)
+    q, w = failing.failures(series, failing.mesh(series, ns[-1]))
+    assert (q is None) != (w is None)
+    k, t, x = q or w
+    reason = (f"coefficient q undefined or non-finite at x={x!r}" if q
+              else "transformed weight must be positive, got 0.0")
     solved = spy(study, "solve_generalized")
     with pytest.raises(StudyError) as raised:
-        convergence_study(builtin("bessel", n=7), method, ns, balanced=balanced)
-    assert str(raised.value) == message
+        failing.study(series, ns)
+    assert str(raised.value) == (f"problem='failing' method={method!r} n={ns[-1]}: "
+                                 f"{reason} (index k={k}, t={t!r})")
     assert len(solved) == len(ns) - 1
 
 

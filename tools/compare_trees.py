@@ -18,7 +18,7 @@ Last come the ``cli`` series: ``slsolve.cli.main`` runs in the child on
 bessel, laguerre, singular and the radial-well config file, each with
 ``--method se``, ``--method de``, ``--method de --balanced`` and
 ``--compare --rate-fit``, at ``--eig-index`` 1 and 2 over
-n = 2..min(n_max, 60), and on six inputs it must refuse.  Each compares
+n = 2..min(n_max, 60), and on seven inputs it must refuse.  Each compares
 the exit code, the stdout and stderr lines and the CSV bytes.  The runs
 share a temporary working directory, named by relative paths only, and
 ``time.perf_counter`` is pinned, so neither the tree nor the run time
@@ -59,9 +59,15 @@ UNBOUNDED_CONFIG = "unbounded-below.cfg"
 UNBOUNDED = ("interval = realline\nmap = de\nq = (-1.47)*x^2\nrho = exp(-x)\nd = 0.7\n"
              "beta_l = 0.25\nbeta_r = 1\ngamma_l = 1\ngamma_r = 0.5\nalpha_se = 1\n"
              "rho_decay_se = 1\nkappa = 50.5\n")
+# A real-line q undefined left of x = 0, which every DE level reaches, so
+# the study fails at its first level to assemble and the command exits 3.
+EXPLODING_CONFIG = "exploding.cfg"
+EXPLODING = ("interval = realline\nmap = de\nq = log(x)\nrho = 1\nd = 0.7853981633974483\n"
+             "beta_l = 1\nbeta_r = 1\ngamma_l = 2\ngamma_r = 2\n")
 # Inputs the command refuses: a range past the size budget, an index past
 # every pencil, a malformed parameter, a missing config file, an
-# unwritable output and an operator unbounded below.
+# unwritable output, an operator unbounded below and a coefficient that
+# a level cannot evaluate.
 CLI_REFUSALS = (
     ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "5000"),
     ("--problem", "bessel", "--method", "de", "--n-min", "2", "--n-max", "3",
@@ -72,6 +78,7 @@ CLI_REFUSALS = (
      "--output", "missing/out.csv"),
     ("--problem", UNBOUNDED_CONFIG, "--method", "de", "--balanced", "--n-min", "2",
      "--n-max", "10"),
+    ("--problem", EXPLODING_CONFIG, "--method", "de", "--n-min", "2", "--n-max", "3"),
 )
 
 
@@ -152,6 +159,7 @@ def _cli(n_max, config):
         try:
             Path(CLI_CONFIG).write_text(config)
             Path(UNBOUNDED_CONFIG).write_text(UNBOUNDED)
+            Path(EXPLODING_CONFIG).write_text(EXPLODING)
             for argv in _cli_runs(n_max):
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
