@@ -24,9 +24,13 @@ Each DE map is the SE map of its interval after kappa * sinh(t)
 DE jet is an SE jet through the chain rule.  The interval kind, the
 decay kind and kappa pick the map, so a problem stores only its interval
 kind and kappa.  A map is its jet (phi, phi', phi'', phi''') on a whole
-numpy array of t at once, with numpy's elementary functions, and
-``map_catalog`` returns that jet.  The half-line maps write arcsinh(e^y)
-as y + log(1 + sqrt(1 + e^(-2y))) for y > 0, so e^(sinh t) never overflows.
+numpy array of t at once, with numpy's elementary functions and scipy's
+expit, and ``map_catalog`` returns that jet.  The unit maps are evaluated
+from the pair x = expit(2y) and 1 - x = expit(-2y), each to full
+relative precision, as tanh y = x - (1 - x) and sech^2 y = 4x(1 - x), so
+x does not round onto 0 where tanh(y)/2 + 1/2 would cancel.  The
+half-line maps write arcsinh(e^y) as y + log(1 + sqrt(1 + e^(-2y))) for
+y > 0, so e^(sinh t) never overflows.
 ``transform_problem(jet, q, rho)`` gives the one evaluation path of the
 transformed coefficients, ``qtilde`` and ``weight`` on arrays of t, which
 call q and rho once each, on the whole array phi(t).
@@ -75,12 +79,6 @@ class EvaluationError(ValueError):
         self.point = point
 
 
-def _sech2(y):
-    # 1/cosh^2: cosh(y) -> inf gives a clean 0.
-    c = np.cosh(y)
-    return 1.0 / (c * c)
-
-
 def _asinh_exp_jet(y):
     """y -> arcsinh(e^y) and its first three derivatives, branch-stable in y.
 
@@ -105,9 +103,10 @@ def _asinh_exp_jet(y):
 
 
 def _unit_se_jet(t):
-    u = np.tanh(t)
-    s2 = _sech2(t)
-    return 0.5 * u + 0.5, 0.5 * s2, -s2 * u, s2 * (2.0 * u * u - s2)
+    x, y = scipy.special.expit(2.0 * t), scipy.special.expit(-2.0 * t)
+    u = x - y
+    s2 = 4.0 * x * y
+    return x, 0.5 * s2, -s2 * u, s2 * (2.0 * u * u - s2)
 
 
 def _real_line_se_jet(t):

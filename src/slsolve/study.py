@@ -292,7 +292,7 @@ def rate_fit(records: Sequence[StudyRecord]):
         if r.n in levels:
             raise ValueError(f"rate fit takes one series, but level n={r.n} has two records")
         levels.add(r.n)
-    ordered =sorted((r for r in records if r.error() is not None), key=lambda r: r.n)
+    ordered = sorted((r for r in records if r.error() is not None), key=lambda r: r.n)
     cut = len(ordered)
     for idx, r in enumerate(ordered):
         e = r.error()

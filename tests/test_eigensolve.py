@@ -309,8 +309,12 @@ def test_congruence_route_rounds_like_the_outer_product():
 
 @pytest.mark.parametrize("name", ["bessel", "laguerre"])
 def test_count_on_graded_pencils_matches_the_full_solve(name):
+    # Where the count solve and the whole-spectrum solve part by more than
+    # 1e-13, the whole spectrum is not taken as truth: the count solve must
+    # then lie strictly closer to the problem's exact eigenvalue.
     problem = builtin(name)
     tp = transformed(problem, "de")
+    exact = np.array([problem.reference(k) for k in (1, 2, 3)])
     seen = 0
     for n in range(2, 61):
         system = assemble(tp, de_mesh(problem.de_profile, n))
@@ -322,7 +326,9 @@ def test_count_on_graded_pencils_matches_the_full_solve(name):
             low = solve_generalized(system, count=k).eigenvalues
             assert low.shape == (k,)
             scale = np.maximum(1.0, np.abs(full[:k]))
-            assert np.all(np.abs(low - full[:k]) <= 1e-13 * scale)
+            near = np.abs(low - full[:k]) <= 1e-13 * scale
+            closer = np.abs(low - exact[:k]) < np.abs(full[:k] - exact[:k])
+            assert np.all(near | closer), (n, k)
     assert seen >= 20
 
 

@@ -8,7 +8,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special
 
+import oracles
 from slsolve import (InsufficientDataError, MeshConfig, Spectrum, StudyError, StudyRecord,
                      TransformedProblem, assemble, builtin, compare_methods,
                      convergence_study, de_mesh, emit_csv, parse_problem_config, rate_fit,
@@ -372,19 +374,56 @@ def test_study_checks_every_level_index_before_any_solve(monkeypatch, spy):
 
 
 LEVELS = (2, 3, 5, 9, 17, 33, 65, 73, 122, 196, 200)
-# Bessel levels end below the first one that fails (ROADMAP item 1):
-# SE from n=74, DE balanced from n=123 and DE from n=197.
-BESSEL_LAST = {("se", False): 73, ("de", True): 122, ("de", False): 196}
+# Bessel levels end below the first one that fails (ROADMAP item 1b):
+# DE balanced from n=123, where the right tail's weight underflows.
+BESSEL_LAST = {("de", True): 122}
 
 
 @pytest.mark.xfail(strict=True, raises=StudyError,
-                   reason="ROADMAP item 1: the level after BESSEL_LAST does not assemble")
-@pytest.mark.parametrize("method,balanced", [("se", False), ("de", False), ("de", True)],
-                         ids=["se", "de", "de-balanced"])
+                   reason="ROADMAP item 1b: the level after BESSEL_LAST does not assemble")
+@pytest.mark.parametrize("method,balanced", [("de", True)], ids=["de-balanced"])
 def test_bessel_runs_the_level_after_its_last(method, balanced):
     n = BESSEL_LAST[method, balanced] + 1
     records = convergence_study(builtin("bessel", n=7), method, [n], balanced=balanced)
     assert [r.n for r in records] == [n]
+
+
+@pytest.mark.parametrize("method", ["se", "de"])
+@pytest.mark.parametrize("name", ["bessel", "laguerre", "singular"])
+def test_every_builtin_level_runs_to_200(name, method):
+    # Every level assembles and solves with no warning (the suite turns
+    # warnings into errors), and the last one sits on the exact eigenvalue,
+    # or on the shooting oracle's where the problem has no closed form.
+    problem = builtin(name)
+    records = convergence_study(problem, method, range(2, 201))
+    assert [r.n for r in records] == list(range(2, 201))
+    exact = problem.reference(1) if problem.reference else oracles.singular_eigenvalues()[0]
+    assert abs(records[-1].mu - exact) <= 1e-11 * max(1.0, abs(exact))
+
+
+CONFIG_UNDER_DECLARED = """
+# the order-7 Bessel problem with its left decay declared at 0.7, not 7
+interval = unit
+map = de
+q = 48.75/x^2
+rho = 1
+d = 1.5707963267948966
+beta_l = 0.7
+beta_r = 0.5
+gamma_l = 1
+gamma_r = 1
+"""
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["de", "de-balanced"])
+def test_under_declared_decay_runs_where_x_is_tiny(balanced):
+    # A smaller beta_l gives a coarser mesh: from n = 20 its leftmost node
+    # sits where 1/2 + tanh(sinh t)/2 once rounded onto x = 0, the pole of q.
+    records = convergence_study(parse_problem_config(CONFIG_UNDER_DECLARED), "de",
+                                range(2, 101), balanced=balanced)
+    assert [r.n for r in records] == list(range(2, 101))
+    exact = scipy.special.jn_zeros(7, 1)[0] ** 2
+    assert abs(records[20 - 2].mu - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("method,balanced", [("se", False), ("de", False), ("de", True)],
@@ -393,7 +432,7 @@ def test_bessel_runs_the_level_after_its_last(method, balanced):
 def test_study_coefficients_match_each_level_alone(monkeypatch, name, method, balanced):
     problem = (parse_problem_config(block("### Problem config files"))
                if name == "radial-well" else builtin(name))
-    last = BESSEL_LAST[method, balanced] if name == "bessel" else 200
+    last = BESSEL_LAST.get((method, balanced), 200) if name == "bessel" else 200
     evaluations, checked, solved = [], [], []
 
     def counted_transformed(p, m):
