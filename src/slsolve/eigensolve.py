@@ -63,22 +63,28 @@ the previous level's, to the study's own convergence.  Given them as
 ``near``, an eigenvalues-only solve skips the dense routes from size
 WARM_MIN_SIZE_ONE when it wants one eigenvalue, and from WARM_MIN_SIZE
 when it wants more, since each costs a factorization of its own
-(Parlett, The Symmetric Eigenvalue Problem, ch. 3-4):
-for each wanted mu_i, one Bunch-Kaufman factorization (?sytrf) of
+(Parlett, The Symmetric Eigenvalue Problem, ch. 3-4).  Each wanted mu_i
+is bracketed alone and refined by inverse iteration until the Rayleigh
+quotient stagnates at its rounding floor eps |y|^T |A| |y| / y^T D^2 y.
+mu_1 is bracketed from below: a Cholesky factor (?potrf) of A - s D^2
+at a shift s just below the guess proves that every eigenvalue lies
+above s, the quotient is at least mu_1, and ?potrs iterates.  Each mu_i
+with i >= 2 is bracketed from above: a Bunch-Kaufman factor (?sytrf) of
 A - s_i D^2 at a shift just above the guess certifies by Sylvester's
-inertia that exactly i eigenvalues lie below s_i, and inverse iteration
-(?sytrs) refines the guess until the Rayleigh quotient stagnates at its
-rounding floor eps |y|^T |A| |y| / y^T D^2 y.  No tridiagonal reduction
-is made.  A quotient outside (s_{i-1}, s_i), a wrong inertia count or no
-stagnation in 4 solves falls back to the dense route, whose result is
-then bitwise what it is without ``near``, and so do guesses that predict
-no stagnation, before any factorization.  The floor holds on graded
-pencils too: a residual bound scaled by D^-1 does not, because rounding
-in (A y)_k divided by d_k explodes where the weights are tiny.  The warm
-route also keeps digits that the congruence loses on moderately graded
-pencils: on the Bessel DE symmetric levels of sizes 49-63, the
-congruence's mu_1 is up to 4.5e-11 relative off ?sygvx on the same
-pencil, and the warm one within 7e-15.
+inertia that exactly i eigenvalues lie below s_i, and ?sytrs iterates.
+?potrf takes half to three quarters of the time of ?sytrf (2.6 against
+5.2 us at size 32, 56 against 81 us at 128, one BLAS thread), and a
+level that wants one eigenvalue makes no ?sytrf.  No tridiagonal
+reduction is made.  A failed Cholesky factor, a quotient outside its
+bracket, a wrong inertia count or no stagnation in 4 solves falls back
+to the dense route, whose result is then bitwise what it is without
+``near``, and so do guesses that predict no stagnation, before any
+factorization.  The floor holds on graded pencils too: a residual bound
+scaled by D^-1 does not, because rounding in (A y)_k divided by d_k
+explodes where the weights are tiny.  The warm route also keeps digits
+that the congruence loses on moderately graded pencils: on the Bessel DE
+symmetric levels of sizes 49-63, the congruence's mu_1 is up to 4.5e-11
+relative off ?sygvx on the same pencil, and the warm one within 1.1e-14.
 """
 
 import logging
@@ -97,10 +103,11 @@ GRADE_LIMIT = 1e8
 # Pencils below these sizes keep the dense routes even when ``near`` is
 # given: WARM_MIN_SIZE_ONE when one eigenvalue is wanted, WARM_MIN_SIZE
 # when two or more are.  Medians per warm-started level of the DE studies
-# over n = 2..60, one BLAS thread: with one eigenvalue the warm route took
-# 61-103 us at sizes 32-63 against 89-207 us dense, but 70-81 us at sizes
-# 16-31 against 47-64 us.  With three it took 267-321 us at sizes 32-63
-# against 114-259 us dense.
+# over n = 2..60, one BLAS thread, the fastest of three runs: with one
+# eigenvalue the warm route took 42-62 us at sizes 32-63 against 88-108 us
+# dense, faster at 75 of 76 levels, but at sizes 24-31 it was faster at 9
+# of 18.  With three it took 118-181 us at sizes 32-63 against 84-133 us
+# dense, faster at 15 of 76, and it was faster at 118 of 135 from size 64.
 WARM_MIN_SIZE_ONE = 32
 WARM_MIN_SIZE = 64
 
@@ -288,36 +295,46 @@ def _solve_inverted(A, w, compute_vectors, count):
     return Spectrum(eigenvalues=mu, eigenvectors=V[:, ::-1] / np.sqrt(theta))
 
 
-_sytrf, _sytrf_lwork, _sytrs = scipy.linalg.get_lapack_funcs(
-    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
+_sytrf, _sytrf_lwork, _sytrs, _potrs = scipy.linalg.get_lapack_funcs(
+    ("sytrf", "sytrf_lwork", "sytrs", "potrs"), dtype=np.float64)
 _EPS = np.finfo(float).eps
 # Inverse iteration solves per eigenvalue before the warm route gives up.
 _SOLVES = 4
 
 
 def _solve_warm(A, w, guess, moved):
-    """The eigenvalues next to ``guess``, certified by inertia; None to fall back.
+    """The eigenvalues next to ``guess``, each bracketed alone; None to fall back.
 
-    Eigenvalue i (from 1) is sought below the shift s_i = g_i + delta_i.
-    The Bunch-Kaufman factor L B L^T of A - s_i D^2 has the inertia of
-    the pencil shifted by s_i (Sylvester), so exactly i eigenvalues lie
-    below s_i when B has i negative eigenvalues: one per negative 1x1
-    pivot and one per 2x2 pivot, which Bunch-Kaufman only takes with a
-    negative determinant.  Inverse iteration from a ones vector stops
-    when the Rayleigh quotient moves by at most 4 f, where
-    f = eps |y|^T |A| |y| / y^T D^2 y is the rounding floor of its
-    evaluation: an absolute test, which also holds at mu = 0.  A quotient
-    inside (s_{i-1}, s_i), an interval that holds mu_i alone, is mu_i.
+    Eigenvalue i (from 1) is sought within delta_i = max(8 moved_i,
+    1e-8 max(1, |g_i|)) of its guess g_i, below s_i = g_i + delta_i.
+    Eigenvalue 1 is found from below: a Cholesky factor (?potrf) of
+    A - (g_1 - delta_1) D^2 exists only when every eigenvalue lies above
+    g_1 - delta_1, and a Rayleigh quotient is at least mu_1, so a quotient
+    inside (g_1 - delta_1, s_1) brackets mu_1 <= rho_1 < s_1.  Eigenvalue
+    i >= 2 is found from above: the Bunch-Kaufman factor L B L^T of
+    A - s_i D^2 has the inertia of the pencil shifted by s_i (Sylvester),
+    so exactly i eigenvalues lie below s_i when B has i negative
+    eigenvalues: one per negative 1x1 pivot and one per 2x2 pivot, which
+    Bunch-Kaufman only takes with a negative determinant.  A quotient
+    inside (s_{i-1}, s_i) is then mu_i: at i = 2, eigenvalue 1's bracket
+    puts mu_1 below s_1.
+    Inverse iteration from a ones vector stops when the Rayleigh quotient
+    moves by at most 4 f, where f = eps |y|^T |A| |y| / y^T D^2 y is the
+    rounding floor of its evaluation: an absolute test, which also holds
+    at mu = 0.  Each eigenvalue's iteration is its own, so they are solved
+    from the highest index down: the higher ones fail more often, and a
+    level that falls back then makes one factorization, not all of them.
 
-    Each solve shrinks the quotient's error by r^2, with r = (s_i - g_i)
-    over the distance from s_i to the nearest other guess (eigenvalues
+    Each solve shrinks the quotient's error by r^2, with r = delta_i over
+    the distance from s_i to the nearest other guess (eigenvalues
     above the guesses are unknown, so r errs low).  Where r^(2 * _SOLVES)
     exceeds eps, the last solve leaves it above the floor: no factorization.
     """
     n = w.size
     # Python floats round as numpy's float64 scalars do, at less cost per operation.
     guess, moved = [float(g) for g in guess], [float(m) for m in moved]
-    shifts = [g + max(8.0 * m, 1e-8 * max(1.0, abs(g))) for g, m in zip(guess, moved)]
+    deltas = [max(8.0 * m, 1e-8 * max(1.0, abs(g))) for g, m in zip(guess, moved)]
+    shifts = [g + delta for g, delta in zip(guess, deltas)]
     for i, (g, shift) in enumerate(zip(guess, shifts)):
         nearest = min((abs(o - shift) for j, o in enumerate(guess) if j != i), default=np.inf)
         if shift - g > _EPS ** (0.5 / _SOLVES) * nearest:
@@ -326,29 +343,41 @@ def _solve_warm(A, w, guess, moved):
                        n, shift, i + 1, shift - g, nearest)
             return None
     abs_a = np.abs(A)
-    # scipy's default workspace, n, is too small for the blocked
-    # factorization and leaves LAPACK the unblocked ?sytf2.
-    lwork = int(_sytrf_lwork(n)[0])
     mu = np.empty(len(guess))
-    lower = -np.inf
-    for i, shift in enumerate(shifts, start=1):
-        ldu, ipiv, info = _sytrf(_shifted(A, w, -shift).T, lwork=lwork, overwrite_a=1)
-        if ipiv.min() > 0:  # 1x1 pivots only
-            below = np.count_nonzero(ldu.diagonal() < 0.0)
+    for i in range(len(guess), 0, -1):
+        shift = shifts[i - 1]
+        if i == 1:
+            lower = guess[0] - deltas[0]
+            factor, info = _potrf(_shifted(A, w, -lower).T, overwrite_a=1, clean=0)
+            if info != 0:
+                _log.debug("size %d: warm start falls back: A - s D^2 is not positive definite "
+                           "at s = %.17g below eigenvalue 1", n, lower)
+                return None
+            solve, factors = _potrs, (factor,)
         else:
-            pairs = ipiv < 0  # both rows of each 2x2 pivot
-            below = np.count_nonzero(ldu.diagonal()[~pairs] < 0.0) + np.count_nonzero(pairs) // 2
-        if info != 0 or below != i:
-            _log.debug("size %d: warm start falls back: %d eigenvalues below the shift "
-                       "%.17g for eigenvalue %d", n, below, shift, i)
-            return None
+            lower = shifts[i - 2]
+            # scipy's default workspace, n, is too small for the blocked
+            # factorization and leaves LAPACK the unblocked ?sytf2.
+            ldu, ipiv, info = _sytrf(_shifted(A, w, -shift).T, lwork=int(_sytrf_lwork(n)[0]),
+                                     overwrite_a=1)
+            if ipiv.min() > 0:  # 1x1 pivots only
+                below = np.count_nonzero(ldu.diagonal() < 0.0)
+            else:
+                pairs = ipiv < 0  # both rows of each 2x2 pivot
+                below = (np.count_nonzero(ldu.diagonal()[~pairs] < 0.0)
+                         + np.count_nonzero(pairs) // 2)
+            if info != 0 or below != i:
+                _log.debug("size %d: warm start falls back: %d eigenvalues below the shift "
+                           "%.17g for eigenvalue %d", n, below, shift, i)
+                return None
+            solve, factors = _sytrs, (ldu, ipiv)
         # The ones vector's first right-hand side, w * 1, is w itself; each
         # later one is the w * y of the quotient before it.  ndarray.dot
         # makes the same BLAS calls as @, through fewer wrapper layers.
         wy = w
         previous = None
         for solves in range(1, _SOLVES + 1):
-            y = _sytrs(ldu, ipiv, wy)[0]
+            y = solve(*factors, wy)[0]
             abs_y = np.abs(y)
             top = abs_y.max()
             y /= top
@@ -370,7 +399,6 @@ def _solve_warm(A, w, guess, moved):
                        "eigenvalue %d outside (%.17g, %.17g)", n, rho, i, lower, shift)
             return None
         mu[i - 1] = rho
-        lower = shift
     return Spectrum(eigenvalues=mu)
 
 
@@ -391,8 +419,10 @@ def solve_generalized(system: GeneralizedSystem, compute_vectors: bool = False,
     previous level of a convergence study, and moved how far each moved
     from the level before.  From size WARM_MIN_SIZE_ONE on when ``count``
     is 1, and from size WARM_MIN_SIZE on otherwise, each g_i is refined by
-    certified shifted inverse iteration instead of a dense solve; any
-    doubt in the certificate falls back to the dense route, and a smaller
+    shifted inverse iteration inside a bracket that holds mu_i alone,
+    instead of a dense solve: g_1 from below, by a Cholesky factor, and
+    every other g_i from above, by the inertia of a Bunch-Kaufman factor.
+    Any doubt in a bracket falls back to the dense route, and a smaller
     pencil or ``compute_vectors`` ignores a well-formed ``near``.
     """
     w = np.asarray(system.weights, dtype=float)

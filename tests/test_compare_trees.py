@@ -60,6 +60,15 @@ def test_a_changed_tree_differs_in_every_series(tool, parent_run, tmp_path, old,
     # Four problems by four modes by two indices: each command that writes
     # records writes the changed ones; the seven refusals write none.
     assert len(lines) - len(study) == 32
+    moves = [line.split("\n")[-1] for line in lines if "mu move" in line]
+    if first == "outcome 0 differs":
+        # mu (1 + 2^-52) rounds to mu plus one or two units in the last
+        # place: 2/3 to 4/3 of 2^-52 relative, in every series.
+        assert len(moves) == len(lines)
+        sizes = [float(move.split("mu move ")[1].split()[0]) for move in moves]
+        assert all(0.66 * 2.0**-52 <= size <= 1.34 * 2.0**-52 for size in sizes), moves
+    else:
+        assert moves == []
 
 
 def test_a_changed_command_line_is_named_by_its_cli_series_only(tool, parent_run, tmp_path):

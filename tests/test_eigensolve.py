@@ -8,12 +8,14 @@ import pytest
 import scipy.special
 
 import oracles
+import pencil_oracle
 from slsolve import (AssemblyError, DefinitenessError, EvaluationError, GeneralizedSystem,
                      MeshConfig, SolverError, assemble, builtin, convergence_study, de_mesh,
-                     de_mesh_symmetric, map_catalog, se_mesh, solve_generalized,
-                     transform_problem, transformed)
+                     de_mesh_symmetric, map_catalog, parse_problem_config, se_mesh,
+                     solve_generalized, transform_problem, transformed)
 from slsolve import eigensolve
 from slsolve.eigensolve import GRADE_LIMIT, WARM_MIN_SIZE, WARM_MIN_SIZE_ONE
+from test_readme import block
 
 
 def charpoly_roots(A, w):
@@ -443,24 +445,34 @@ def test_warm_start_refines_to_the_dense_eigenvalues(caplog):
         np.testing.assert_allclose(warm, mu, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("cause,guess", [
-    # mu_2's value given for mu_1: two eigenvalues lie below the shift
-    ("2 eigenvalues below the shift", lambda mu: mu[1]),
-    # a shift halfway between mu_1 and mu_2: no stagnation in 4 solves
-    ("no stagnation after 4 solves", lambda mu: (mu[0] + mu[1]) / 2),
-    # a shift just below mu_2: the iteration finds mu_2, above the shift
-    ("outside", lambda mu: mu[1] - 1e-4),
-], ids=["inertia", "stagnation", "bracket"])
-def test_wrong_near_falls_back_to_the_dense_result_bit_for_bit(caplog, cause, guess):
-    system, mu = _warm_level(count=2)
-    near = ([guess(mu)], [0.0])
+@pytest.mark.parametrize("cause,index,guess", [
+    # Eigenvalue 1, from below by a Cholesky factor.  mu_2's value given
+    # for mu_1: mu_1 lies below s = mu_2 - delta, so A - s D^2 is indefinite
+    ("not positive definite", 1, lambda mu: mu[1]),
+    # a shift half the gap below mu_1: each solve divides the error by
+    # about 9, too little to stagnate in 4 solves
+    ("no stagnation after 4 solves", 1, lambda mu: mu[0] - (mu[1] - mu[0]) / 2),
+    # a guess just below mu_1: the iteration finds mu_1, above g_1 + delta
+    ("outside", 1, lambda mu: mu[0] - 1e-4),
+    # Eigenvalue 2, from above by a Bunch-Kaufman factor.  mu_3's value
+    # given for mu_2: three eigenvalues lie below the shift
+    ("3 eigenvalues below the shift", 2, lambda mu: mu[2]),
+    # a shift halfway between mu_2 and mu_3: no stagnation in 4 solves
+    ("no stagnation after 4 solves", 2, lambda mu: (mu[1] + mu[2]) / 2),
+    # a shift just below mu_3: the iteration finds mu_3, above the shift
+    ("outside", 2, lambda mu: mu[2] - 1e-4),
+], ids=["definiteness", "stagnation-from-below", "bracket-from-below",
+        "inertia", "stagnation", "bracket"])
+def test_wrong_near_falls_back_to_the_dense_result_bit_for_bit(caplog, cause, index, guess):
+    system, mu = _warm_level(count=3)
+    near = ([*mu[:index - 1], guess(mu)], [0.0] * index)
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
-        spectrum = solve_generalized(system, count=1, near=near)
-    assert np.array_equal(spectrum.eigenvalues, mu[:1])
+        spectrum = solve_generalized(system, count=index, near=near)
+    assert np.array_equal(spectrum.eigenvalues, mu[:index])
     assert [r.name for r in caplog.records] == ["slsolve.eigensolve"]
     message = caplog.records[0].getMessage()
     assert message.startswith(f"size {system.size}: warm start falls back")
-    assert cause in message
+    assert cause in message and f"eigenvalue {index}" in message
 
 
 @pytest.mark.parametrize("A,w,count,mu,rtol,atol,message", [
@@ -609,12 +621,57 @@ def test_warm_route_is_no_less_accurate_than_the_dense_route(monkeypatch, name, 
     assert dense <= 1e-11
 
 
+# The adapted singular problem as a config file.
+SINGULAR_CONFIG = """\
+name = singular-config
+interval = realline
+map = de
+kappa = 0.4472135954999579
+q = x^2 + tanh(x)/log(x^2+1.1)
+rho = 1/(x^2+cos(x))
+d = 0.7853981633974483
+beta_l = 0.025
+beta_r = 0.025
+gamma_l = 2
+gamma_r = 2
+"""
+# Largest |mu - mu_exact| / f of a warm eigenvalue, against the pencil's
+# own eigenvalue.  A sweep of 419 warm eigenvalues (the grid's studies
+# over their whole ranges, with singular-config SE, radial-well SE and DE
+# balanced, and singular DE with three eigenvalues) read at most 0.34 f.
+FLOOR_UNITS = 1.0
+
+
+@pytest.mark.parametrize("problem,ns,indices,balanced,levels", [
+    (lambda: parse_problem_config(SINGULAR_CONFIG), range(2, 49), (1,), False, 5),
+    (lambda: builtin("bessel", n=7), range(2, 41), (1,), True, 3),
+    (lambda: builtin("laguerre", alpha=3.0), range(2, 61), (1, 2, 3), True, 2),
+    (lambda: parse_problem_config(block("### Problem config files")), range(2, 21), (1,), False,
+     3),
+], ids=["singular-config", "bessel", "laguerre", "radial-well"])
+def test_warm_eigenvalues_lie_within_the_pencil_floor(spy, problem, ns, indices, balanced,
+                                                      levels):
+    # Solver error apart from discretization error: each warm eigenvalue of
+    # the last levels of DE studies against the exact eigenvalue of the
+    # pencil it was computed from, in units of its rounding floor
+    # f = eps |z|^T |A| |z| / z^T D^2 z.
+    warm = spy(eigensolve, "_solve_warm")
+    convergence_study(problem(), "de", ns, indices, balanced=balanced)
+    served = [call for call in warm if call.result is not None][-levels:]
+    assert len(served) == levels and warm[-1].result is not None
+    for call in served:
+        A, w = call.args[:2]
+        for mu in call.result.eigenvalues:
+            error, floor = pencil_oracle.error_and_floor(A, w, mu)
+            assert error <= FLOOR_UNITS * floor, (w.size, mu, error, floor)
+
+
 def _factorizations_and_dense_solves(spy):
-    """The calls to ``_sytrf``, and those to either dense route in one list."""
+    """The calls to ``_potrf`` and to ``_sytrf``, and those to either dense route in one list."""
     dense = []
     for route in ("_solve_congruence", "_solve_inverted"):
         spy(eigensolve, route, dense)
-    return spy(eigensolve, "_sytrf"), dense
+    return spy(eigensolve, "_potrf"), spy(eigensolve, "_sytrf"), dense
 
 
 def _sizes(calls):
@@ -624,13 +681,14 @@ def _sizes(calls):
 def test_study_serves_large_levels_warm_without_fallback(spy):
     # A work count, not a timing: every level of the Bessel balanced study,
     # which reads one eigenvalue, from the third on and of size >=
-    # WARM_MIN_SIZE_ONE factors A - s D^2 once and makes no dense solve.
-    sytrf, dense = _factorizations_and_dense_solves(spy)
+    # WARM_MIN_SIZE_ONE makes one Cholesky factorization of A - s D^2, no
+    # Bunch-Kaufman one and no dense solve.
+    potrf, sytrf, dense = _factorizations_and_dense_solves(spy)
     records = convergence_study(builtin("bessel", n=7), "de", range(2, 41), balanced=True)
     warm = sum(1 for r in records[2:] if r.size >= WARM_MIN_SIZE_ONE)
     assert warm >= 20
     assert sum(1 for r in records[2:] if WARM_MIN_SIZE_ONE <= r.size < WARM_MIN_SIZE) >= 10
-    assert (len(sytrf), len(dense)) == (warm, len(records) - warm)
+    assert (len(potrf), len(sytrf), len(dense)) == (warm, 0, len(records) - warm)
 
 
 def test_study_reading_three_eigenvalues_keeps_small_levels_dense(monkeypatch, spy):
@@ -638,11 +696,11 @@ def test_study_reading_three_eigenvalues_keeps_small_levels_dense(monkeypatch, s
     # WARM_MIN_SIZE a three-eigenvalue level is solved dense, bitwise as
     # without the warm route, even where one eigenvalue would be served warm.
     problem, ns = builtin("laguerre", alpha=3.0), range(2, 61)
-    sytrf, dense = _factorizations_and_dense_solves(spy)
+    potrf, sytrf, dense = _factorizations_and_dense_solves(spy)
     records = convergence_study(problem, "de", ns, (1, 2, 3), balanced=True)
     small = sorted({r.size for r in records if r.size < WARM_MIN_SIZE})
     assert sum(1 for size in small if size >= WARM_MIN_SIZE_ONE) >= 10
-    assert min(_sizes(sytrf)) >= WARM_MIN_SIZE
+    assert min(_sizes(potrf + sytrf)) >= WARM_MIN_SIZE
     assert [size for size in _sizes(dense) if size < WARM_MIN_SIZE] == small
     _without_warm_route(monkeypatch)
     alone = convergence_study(problem, "de", ns, (1, 2, 3), balanced=True)
@@ -673,8 +731,9 @@ def test_one_eigenvalue_study_levels_keep_the_generalized_solve_digits():
 def test_warm_factorization_gets_a_blocked_workspace(spy):
     # scipy's default workspace, n, leaves LAPACK the unblocked ?sytf2,
     # two to four times slower at sizes 233-546 with one BLAS thread.
+    # Eigenvalues 2 and 3 of each warm level take a Bunch-Kaufman factor.
     sytrf = spy(eigensolve, "_sytrf")
-    convergence_study(builtin("bessel", n=7), "de", range(30, 41), balanced=True)
+    convergence_study(builtin("bessel", n=7), "de", range(30, 41), (1, 2, 3), balanced=True)
     workspaces = [(n, call.kwargs.get("lwork", n)) for n, call in zip(_sizes(sytrf), sytrf)]
     assert len(workspaces) >= 8
     assert all(lwork >= 2 * n for n, lwork in workspaces), workspaces
@@ -687,7 +746,7 @@ def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, spy, caplo
     # Those levels go dense with no factorization, and read as they would
     # without the warm route.
     problem, ns = builtin("bessel", n=7), range(2, 74)
-    sytrf, dense_solves = _factorizations_and_dense_solves(spy)
+    potrf, sytrf, dense_solves = _factorizations_and_dense_solves(spy)
     with caplog.at_level(logging.DEBUG, logger="slsolve"):
         records = convergence_study(problem, "se", ns, (1, 2, 3))
     unserved = [r.getMessage() for r in caplog.records if "warm start" in r.getMessage()]
@@ -697,11 +756,27 @@ def test_study_skips_factorizations_that_cannot_stagnate(monkeypatch, spy, caplo
     served = len(tried) - len(unserved)
     assert served >= 5
     assert len(dense_solves) == len(ns) - served
-    assert len(sytrf) <= 3 * (len(tried) - len(skipped))
+    assert len(potrf) + len(sytrf) <= 3 * (len(tried) - len(skipped))
     _without_warm_route(monkeypatch)
     dense = convergence_study(problem, "se", ns, (1, 2, 3))
     assert [r.mu for r in records if r.size in skipped] == \
         [r.mu for r in dense if r.size in skipped]
+
+
+def test_a_level_falling_back_at_its_highest_eigenvalue_factors_once(spy, caplog):
+    # A work count: on Bessel SE with three eigenvalues, the levels of sizes
+    # 121-129 stagnate on eigenvalues 1 and 2 but not on eigenvalue 3.
+    # Solved from the highest index down, each makes one factorization
+    # before it falls back, not three.
+    potrf, sytrf, dense = _factorizations_and_dense_solves(spy)
+    with caplog.at_level(logging.DEBUG, logger="slsolve"):
+        records = convergence_study(builtin("bessel", n=7), "se", range(58, 65), (1, 2, 3))
+    sizes = [r.size for r in records[6::3]]
+    assert sizes == [121, 123, 125, 127, 129]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"size {size}: warm start falls back: no stagnation after 4 solves for eigenvalue 3"
+        for size in sizes]
+    assert (potrf, _sizes(sytrf), len(dense)) == ([], sizes, len(records) // 3)
 
 
 def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(spy, caplog):
@@ -720,7 +795,8 @@ def test_inertia_counts_one_negative_eigenvalue_per_two_by_two_pivot(spy, caplog
         mu = solve_generalized(system, count=n, near=(dense, np.zeros(n))).eigenvalues
     assert caplog.records == []
     pairs = [np.count_nonzero(call.result[1] < 0) // 2 for call in sytrf]
-    assert len(pairs) == n and max(pairs) >= 10
+    # Eigenvalue 1 takes a Cholesky factor, every other one a Bunch-Kaufman factor.
+    assert len(pairs) == n - 1 and max(pairs) >= 10
     np.testing.assert_allclose(mu, dense, rtol=0.0, atol=1e-13)
 
 

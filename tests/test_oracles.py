@@ -1,10 +1,12 @@
-"""The shooting oracle, checked on a closed form, then used on ``singular``."""
+"""The shooting oracle, checked on a closed form, then used on ``singular``; the pencil oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
-from slsolve import builtin, convergence_study
+import pencil_oracle
+from slsolve import assemble, builtin, convergence_study, de_mesh, solve_generalized, transformed
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +34,25 @@ def test_singular_de_matches_oracle(singular_by_cut, kappa):
                                 eig_indices=(1, 2, 3))
     errors = [abs(r.mu - singular_by_cut[8.0][r.eig_index - 1]) for r in records]
     assert max(errors) <= 1e-11, errors
+
+
+@pytest.mark.parametrize("backend", ["longdouble", "mpmath"])
+def test_pencil_oracle_matches_a_50_digit_eigensolve(monkeypatch, backend):
+    # A graded Bessel DE pencil: both backends against mpmath's Jacobi
+    # eigensolver on D^-1 A D^-1 at 50 digits.  They agree far inside the
+    # pencil's rounding floor f, as the longdouble quotient's own rounding,
+    # about eps(longdouble) / eps(double) f = 5e-4 f, allows.
+    if backend == "longdouble" and pencil_oracle.BACKEND != backend:
+        pytest.skip(f"np.longdouble has eps {np.finfo(np.longdouble).eps:.3g}")
+    monkeypatch.setattr(pencil_oracle, "BACKEND", backend)
+    problem = builtin("bessel", n=7)
+    system = assemble(transformed(problem, "de"), de_mesh(problem.de_profile, 5))
+    A, w = system.matrix, system.weights
+    mu = solve_generalized(system, count=1).eigenvalues[0]
+    error, floor = pencil_oracle.error_and_floor(A, w, mu)
+    with mpmath.workdps(50):
+        d = [mpmath.sqrt(mpmath.mpf(x)) for x in w]
+        B = mpmath.matrix([[mpmath.mpf(A[j, k]) / d[j] / d[k] for k in range(w.size)]
+                           for j in range(w.size)])
+        exact = min(mpmath.eigsy(B, eigvals_only=True))
+        assert abs(float(abs(mpmath.mpf(mu) - exact)) - error) <= 1e-3 * floor

@@ -25,12 +25,14 @@ share a temporary working directory, named by relative paths only, and
 shows in what they print or write.
 
 The output is ``identical``, or the first differing outcome of each
-series that differs; the exit status is 0 or 1.  Both children get one
-BLAS thread unless the environment says otherwise, since the rounding of
-the larger solves can depend on the thread count.
+series that differs, with the largest relative move of an eigenvalue
+over the series where one moved; the exit status is 0 or 1.  Both
+children get one BLAS thread unless the environment says otherwise,
+since the rounding of the larger solves can depend on the thread count.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import io
@@ -234,26 +236,61 @@ def compare_trees(parent, change, n_max=200):
 
 
 def compare_runs(before, after):
-    """Lines naming the first difference of each differing series; empty when identical."""
+    """Lines naming the first difference of each differing series; empty when identical.
+
+    Where the series' CSVs hold an eigenvalue of one level in both runs
+    and it moved, a last line gives the largest relative move over the
+    series, |change - parent| / max(|parent|, |change|), its absolute
+    size, which tells rounding apart near mu = 0, and where it is.
+    """
     lines = []
     for key in sorted(set(before) | set(after)):
         if key not in before or key not in after:
             lines.append(f"{key}: only in {'change' if key in after else 'parent'}")
             continue
         (old, old_csv), (new, new_csv) = before[key], after[key]
-        for k, (a, b) in enumerate(zip(old, new)):
-            if a != b:
-                lines.append(f"{key}: outcome {k} differs:\n  parent {a}\n  change {b}")
-                break
-        else:
-            if len(old) != len(new):
-                lines.append(f"{key}: {len(old)} outcomes in parent, {len(new)} in change")
-            elif old_csv != new_csv:
-                pairs = zip(old_csv.splitlines(True), new_csv.splitlines(True))
-                row = next((k for k, (a, b) in enumerate(pairs) if a != b), None)
-                lines.append(f"{key}: emit_csv differs from line {row + 1}" if row is not None
-                             else f"{key}: emit_csv differs in length")
+        line = _first_difference(old, old_csv, new, new_csv)
+        if line is None:
+            continue
+        move = _largest_mu_move(old_csv, new_csv)
+        if move is not None:
+            relative, absolute, row, (method, problem, n, index) = move
+            line += (f"\n  largest relative mu move {relative:.3g} ({absolute:.3g} absolute), "
+                     f"at CSV line {row}: {method} {problem} n={n} eig_index={index}")
+        lines.append(f"{key}: {line}")
     return lines
+
+
+def _first_difference(old, old_csv, new, new_csv):
+    """The first differing outcome, else a difference in length or CSV bytes; None if none."""
+    for k, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            return f"outcome {k} differs:\n  parent {a}\n  change {b}"
+    if len(old) != len(new):
+        return f"{len(old)} outcomes in parent, {len(new)} in change"
+    if old_csv != new_csv:
+        pairs = zip(old_csv.splitlines(True), new_csv.splitlines(True))
+        row = next((k for k, (a, b) in enumerate(pairs) if a != b), None)
+        return (f"emit_csv differs from line {row + 1}" if row is not None
+                else "emit_csv differs in length")
+    return None
+
+
+def _largest_mu_move(old_csv, new_csv):
+    """The mu that moved most, or None if none did.
+
+    It is given as (relative move, absolute move, CSV line, (method,
+    problem, n, eig_index)).  Rows pair by position, where both name the
+    same method, problem, n and eig_index.
+    """
+    moves = []
+    rows = zip(csv.DictReader(io.StringIO(old_csv)), csv.DictReader(io.StringIO(new_csv)))
+    for line, (a, b) in enumerate(rows, start=2):
+        key = (b["method"], b["problem"], b["n"], b["eig_index"])
+        old, new = float(a["mu"]), float(b["mu"])
+        if key == (a["method"], a["problem"], a["n"], a["eig_index"]) and old != new:
+            moves.append((abs(new - old) / max(abs(old), abs(new)), abs(new - old), line, key))
+    return max(moves, default=None)
 
 
 def main(argv=None):
